@@ -53,7 +53,7 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 # Above this exponent a recomputation stops being an interactive wait.
-_SLOW_EXPONENT = 200_000
+_SLOW_EXPONENT = 1_000_000
 
 
 class _UsageError(Exception):
@@ -79,6 +79,14 @@ def _center_int(text: str) -> int:
     if value < 2:
         raise argparse.ArgumentTypeError("must be >= 2")
     return value
+
+
+def _available_cpus() -> int:
+    # The CPUs this process may run on, which a container or taskset can
+    # hold below the machine's count.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _bool_cell(flag: bool) -> str:
@@ -251,7 +259,7 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
         top = max(index_set.indices)
         if top > _SLOW_EXPONENT:
             print(
-                f"warning: recomputing D up to n={top} runs for hours to days; "
+                f"warning: recomputing D up to n={top} runs for minutes to hours; "
                 f"reference values cover the default ranges",
                 file=sys.stderr,
             )
@@ -295,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output delimiter family (default csv)",
     )
     common.add_argument(
-        "--jobs", type=_positive_int, default=os.cpu_count() or 1, metavar="J",
+        "--jobs", type=_positive_int, default=_available_cpus(), metavar="J",
         help="worker processes for batch computations (default: available parallelism)",
     )
     common.add_argument(

@@ -4,25 +4,35 @@ The iteration rule: an odd value x maps to 3x+1, an even value maps to x/2.
 The path length D(x) is the number of single rule applications needed to
 reach 1 from x, so D(1) = 0, D(7) = 16, D(2**n) = n.
 
-The hot loop never applies rules one at a time.  For an odd x the product
-y = 3x+1 is always even, so the fused step divides out all trailing zero
-bits of y at once and accounts for 1 + t rule applications, where t is the
-2-adic valuation of y.  Even starts are likewise reduced by a single shift.
-After the first fused step every intermediate is odd, which makes the cost
-per fused step one multiply and one shift.
+Every iterating entry point runs one private kernel, _walk, which never
+applies rules one at a time.  While the value is wide it takes blocks of
+_BLOCK steps of the shortcut map T(x) = x/2 or (3x+1)/2.  The parities of
+the first k steps of T depend only on x mod 2**k (Terras 1976; Lagarias
+1985), so writing x = 2**W * a + b with b < 2**W gives
 
-Values are plain Python ints.  When gmpy2 is installed, inputs above a size
-cutover run on mpz instead; GMP's multiply beats CPython's on multi-kilobit
-operands by a wide margin.  Results are always converted back to int, so
-callers never see mpz values.
+    T**W(x) = 3**c * a + T**W(b),
 
-Termination of the iteration is an open conjecture, so every iterating
-function takes a cycle_guard step ceiling and raises CycleGuardExceeded
-rather than looping without bound.
+where c counts the odd steps.  A pass over the small value b, eight steps
+per lookup in a 256-entry table, yields c and T**W(b); one multiply-add on
+the wide value then stands for W + c rule applications (c odd, W even).
+Near 1 the kernel falls back to the fused step: for odd x it computes
+y = 3x+1 and divides out all trailing zero bits of y at once.
+
+Both modes keep every count exact.  A block a budget cannot afford is cut
+short after the last step that fits, and a fused step is split after its
+3x+1 half when only one rule application is left.  The peak bit length
+over a block comes from a float estimate of each odd step's 3x+1 that is
+exact unless it sits near an integer, in which case that value is built.
+
+Values are plain Python ints throughout.  Termination of the iteration is
+an open conjecture, so every iterating function takes a cycle_guard step
+ceiling and raises CycleGuardExceeded rather than looping without bound.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -32,18 +42,48 @@ from .errors import CycleGuardExceeded, DomainError
 if TYPE_CHECKING:
     from .expressions import NumberExpression
 
-try:
-    import gmpy2 as _gmpy2
-except ImportError:  # pragma: no cover - exercised only on bare installs
-    _gmpy2 = None
-
 # The universe of values: arbitrary-precision non-negative integers.
 Natural = int
 
 DEFAULT_CYCLE_GUARD = 10**12
 
-# Below this bit length, native int arithmetic wins over mpz conversion.
-_MPZ_CUTOVER_BITS = 4096
+# Shortcut steps per block; a multiple of the table's 8.
+_BLOCK = 512
+_BLOCK_MASK = (1 << _BLOCK) - 1
+# Blocks run only while the high part a = x >> _BLOCK has 64 bits or more,
+# which keeps every value they produce above 1 and bounds the error of the
+# peak estimate.
+_BLOCK_MIN_BITS = _BLOCK + 64
+
+_LOG2_3 = math.log2(3)
+# A float estimate of a bit length this close to an integer is settled exactly.
+_NEAR_INTEGER = 1e-7
+
+
+def _eight_step_table() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    # For r < 256: T**8(256*q + r) = 3**odd[r] * q + tail[r].
+    mul, tail, odd = [], [], []
+    for r in range(256):
+        y, c = r, 0
+        for _ in range(8):
+            if y & 1:
+                y = (3 * y + 1) >> 1
+                c += 1
+            else:
+                y >>= 1
+        mul.append(3**c)
+        tail.append(y)
+        odd.append(c)
+    return tuple(mul), tuple(tail), tuple(odd)
+
+
+_T8_MUL, _T8_TAIL, _T8_ODD = _eight_step_table()
+
+
+@functools.cache
+def _pow3(c: int) -> int:
+    # c never exceeds _BLOCK, so the cache stays small.
+    return 3**c
 
 
 def _as_natural(value: object, minimum: int, name: str) -> int:
@@ -158,56 +198,117 @@ def odd_step_accelerated(x: Natural) -> tuple[Natural, int]:
     return y >> t, 1 + t
 
 
-def _path_length_int(x: int, guard: int) -> PathResult:
-    start = x
-    odd = 0
-    even = 0
-    peak = x.bit_length()
-    if not x & 1:
-        t = (x & -x).bit_length() - 1
-        x >>= t
-        even = t
-        if even > guard:
-            raise CycleGuardExceeded(start, guard)
-    while x != 1:
-        y = 3 * x + 1
-        b = y.bit_length()
-        if b > peak:
-            peak = b
-        t = (y & -y).bit_length() - 1
-        x = y >> t
-        odd += 1
-        even += t
-        if odd + even > guard:
-            raise CycleGuardExceeded(start, guard)
-    return PathResult(d=odd + even, odd_steps=odd, even_steps=even, peak_bit_length=peak)
+def _block_peak(a: int, b: int, steps: int) -> int:
+    """Largest bit length of 3x+1 over the odd steps of a block, or 0.
+
+    The block runs steps shortcut steps from x = 2**_BLOCK * a + b.  Its
+    step j starts from x_j = 3**c_j * 2**(_BLOCK - j) * a + T**j(b), so an
+    odd step makes 3*x_j + 1 = 2 * (3**c * 2**(_BLOCK - j - 1) * a + T**(j+1)(b))
+    with c = c_(j+1).  Because T**(j+1)(b) < 2 * 3**c * 2**(_BLOCK - j - 1)
+    and a >= 2**63, its log2 is log2(a) + _BLOCK + c*log2(3) - j to within
+    2**-61, and the bit length is one more than the floor of that.  Two
+    steps of one block differ in c*log2(3) - j by at least 1.4e-3 (the
+    closest approach of c*log2(3) to an integer for c <= 512), so only the
+    largest can decide the floor, and it is built exactly when its estimate
+    lies within _NEAR_INTEGER of an integer.
+    """
+    y = b
+    c = 0
+    best = -math.inf
+    for j in range(steps):
+        if y & 1:
+            y = (3 * y + 1) >> 1
+            c += 1
+            excursion = c * _LOG2_3 - j
+            if excursion > best:
+                best, best_c, best_j, best_y = excursion, c, j, y
+        else:
+            y >>= 1
+    if best == -math.inf:
+        return 0
+    shift = a.bit_length() - 64
+    estimate = math.log2(a >> shift) + best
+    whole = math.floor(estimate)
+    if _NEAR_INTEGER < estimate - whole < 1 - _NEAR_INTEGER:
+        return shift + _BLOCK + whole + 1
+    halved = (_pow3(best_c) * a << (_BLOCK - best_j - 1)) + best_y
+    return halved.bit_length() + 1
 
 
-def _path_length_mpz(x: int, guard: int) -> PathResult:
-    start = x
-    scan = _gmpy2.bit_scan1
-    x = _gmpy2.mpz(x)
-    odd = 0
-    even = 0
-    peak = x.bit_length()
-    if not x & 1:
-        t = scan(x)
-        x >>= t
-        even = t
-        if even > guard:
-            raise CycleGuardExceeded(start, guard)
-    while x != 1:
-        y = 3 * x + 1
-        b = y.bit_length()
-        if b > peak:
-            peak = b
-        t = scan(y)
-        x = y >> t
-        odd += 1
-        even += t
+def _walk(
+    x: int, odd: int, even: int, peak: int, budget: int, guard: int, start: int, halt: bool
+) -> tuple[int, int, int, int]:
+    """The stepping kernel: up to budget rule applications from x.
+
+    odd, even and peak carry the counters of the run so far and come back
+    updated with the new current value.  With halt set, the walk stops on
+    reaching 1.  Raises CycleGuardExceeded, reporting start, as soon as
+    odd + even passes guard.
+    """
+    remaining = budget
+    while remaining and not (halt and x == 1):
+        bits = x.bit_length()
+        if bits >= _BLOCK_MIN_BITS and remaining >= 2:
+            # A block of k <= _BLOCK shortcut steps on the low bits.  Eight
+            # steps cost at most 16 rule applications, so each round takes
+            # only as many table lookups as the budget surely affords; the
+            # last few steps go one at a time.
+            low = x & _BLOCK_MASK
+            y = low
+            c = k = 0
+            while k < _BLOCK and remaining >= 16:
+                lookups = min((_BLOCK - k) >> 3, remaining >> 4)
+                before = c
+                for _ in range(lookups):
+                    r = y & 255
+                    y = _T8_MUL[r] * (y >> 8) + _T8_TAIL[r]
+                    c += _T8_ODD[r]
+                k += lookups << 3
+                remaining -= (lookups << 3) + c - before
+            while k < _BLOCK:
+                if y & 1:
+                    if remaining < 2:
+                        break
+                    y = (3 * y + 1) >> 1
+                    c += 1
+                    remaining -= 2
+                else:
+                    if not remaining:
+                        break
+                    y >>= 1
+                    remaining -= 1
+                k += 1
+            a = x >> _BLOCK
+            # An odd step of the block makes 3x+1 of fewer than
+            # bits + (log2(3) - 1) * c + 2 bits; scan the steps only when
+            # that could beat the peak.
+            if bits + 0.585 * c + 3 > peak:
+                peak = max(peak, _block_peak(a, low, k))
+            x = (_pow3(c) * a << (_BLOCK - k)) + y
+            odd += c
+            even += k
+        elif x & 1:
+            y = 3 * x + 1
+            b = y.bit_length()
+            if b > peak:
+                peak = b
+            t = _trailing_zeros(y)
+            if t >= remaining:
+                t = remaining - 1
+            x = y >> t
+            odd += 1
+            even += t
+            remaining -= t + 1
+        else:
+            t = _trailing_zeros(x)
+            if t > remaining:
+                t = remaining
+            x >>= t
+            even += t
+            remaining -= t
         if odd + even > guard:
             raise CycleGuardExceeded(start, guard)
-    return PathResult(d=odd + even, odd_steps=odd, even_steps=even, peak_bit_length=peak)
+    return x, odd, even, peak
 
 
 def path_length(x: Natural, *, cycle_guard: int = DEFAULT_CYCLE_GUARD) -> PathResult:
@@ -218,9 +319,9 @@ def path_length(x: Natural, *, cycle_guard: int = DEFAULT_CYCLE_GUARD) -> PathRe
     """
     x = _as_natural(x, 1, "x")
     guard = _as_guard(cycle_guard)
-    if _gmpy2 is not None and x.bit_length() >= _MPZ_CUTOVER_BITS:
-        return _path_length_mpz(x, guard)
-    return _path_length_int(x, guard)
+    # A walk that has not halted after guard + 1 steps has tripped the guard.
+    _, odd, even, peak = _walk(x, 0, 0, x.bit_length(), guard + 1, guard, x, True)
+    return PathResult(d=odd + even, odd_steps=odd, even_steps=even, peak_bit_length=peak)
 
 
 def advance(
@@ -240,53 +341,7 @@ def advance(
     """
     max_steps = _as_natural(max_steps, 0, "max_steps")
     guard = _as_guard(cycle_guard)
-    x = state.current
-    if x == 1 or max_steps == 0:
-        return state
-    use_mpz = _gmpy2 is not None and x.bit_length() >= _MPZ_CUTOVER_BITS
-    if use_mpz:
-        scan = _gmpy2.bit_scan1
-        x = _gmpy2.mpz(x)
-    else:
-        scan = _trailing_zeros
-    odd = state.odd_steps
-    even = state.even_steps
-    peak = state.peak_bit_length
-    remaining = max_steps
-    while remaining and x != 1:
-        if x & 1:
-            y = 3 * x + 1
-            b = y.bit_length()
-            if b > peak:
-                peak = b
-            t = scan(y)
-            if t + 1 <= remaining:
-                x = y >> t
-                odd += 1
-                even += t
-                remaining -= t + 1
-            else:
-                x = y >> (remaining - 1)
-                odd += 1
-                even += remaining - 1
-                remaining = 0
-        else:
-            t = scan(x)
-            if t > remaining:
-                t = remaining
-            x >>= t
-            even += t
-            remaining -= t
-        if odd + even > guard:
-            raise CycleGuardExceeded(int(state.current), guard)
-    return IterationState(
-        current=int(x),
-        steps=odd + even,
-        odd_steps=odd,
-        even_steps=even,
-        peak_bit_length=peak,
-        origin=state.origin,
-    )
+    return _advanced(state, max_steps, guard, True)
 
 
 def raw_advance(
@@ -303,42 +358,16 @@ def raw_advance(
     """
     exact_steps = _as_natural(exact_steps, 0, "exact_steps")
     guard = _as_guard(cycle_guard)
-    if exact_steps == 0:
-        return state
+    return _advanced(state, exact_steps, guard, False)
+
+
+def _advanced(state: IterationState, budget: int, guard: int, halt: bool) -> IterationState:
     x = state.current
-    use_mpz = _gmpy2 is not None and x.bit_length() >= _MPZ_CUTOVER_BITS
-    if use_mpz:
-        scan = _gmpy2.bit_scan1
-        x = _gmpy2.mpz(x)
-    else:
-        scan = _trailing_zeros
-    odd = state.odd_steps
-    even = state.even_steps
-    peak = state.peak_bit_length
-    remaining = exact_steps
-    while remaining:
-        if x & 1:
-            y = 3 * x + 1
-            b = y.bit_length()
-            if b > peak:
-                peak = b
-            t = scan(y)
-            take = t + 1 if t + 1 <= remaining else remaining
-            x = y >> (take - 1)
-            odd += 1
-            even += take - 1
-            remaining -= take
-        else:
-            t = scan(x)
-            if t > remaining:
-                t = remaining
-            x >>= t
-            even += t
-            remaining -= t
-        if odd + even > guard:
-            raise CycleGuardExceeded(int(state.current), guard)
+    x, odd, even, peak = _walk(
+        x, state.odd_steps, state.even_steps, state.peak_bit_length, budget, guard, x, halt
+    )
     return IterationState(
-        current=int(x),
+        current=x,
         steps=odd + even,
         odd_steps=odd,
         even_steps=even,

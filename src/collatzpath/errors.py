@@ -27,14 +27,22 @@ class CycleGuardExceeded(CollatzPathError, RuntimeError):
     iterating operation takes a step ceiling and fails loudly instead of
     spinning forever.  Hitting the guard means either an astronomically long
     path or a genuinely divergent orbit; the exception reports the start and
-    the ceiling so the run can be retried with a higher limit.
+    the ceiling so the run can be retried with a higher limit.  Starts of
+    64 bits or more are named by bit length and leading hex digits, since
+    the decimal form of a huge start is unreadable and past 4300 digits
+    refuses to render at all.
     """
 
     def __init__(self, start: int, limit: int):
         self.start = start
         self.limit = limit
+        bits = start.bit_length()
+        if bits < 64:
+            named = str(start)
+        else:
+            named = f"a {bits}-bit start {start >> (bits - 64):#x}..."
         super().__init__(
-            f"step count exceeded the cycle guard ({limit}) iterating from {start}"
+            f"step count exceeded the cycle guard ({limit}) iterating from {named}"
         )
 
 

@@ -14,7 +14,7 @@ Sets C and D were hand-selected rather than generated by a fixed rule, so
 they ship as verbatim fixtures; best-effort generators for their selection
 idea are provided alongside.  Reference path lengths for all five default
 rows are embedded so statistics are instant; recomputing the multi-megabit
-ones from scratch takes hours to days and is strictly opt-in.
+ones from scratch takes minutes each and is strictly opt-in.
 """
 
 from __future__ import annotations

@@ -9,6 +9,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run and machine, so the
+# default tier stays reproducible and its running time fixed.
+settings.register_profile(
+    "deterministic", derandomize=True, database=None, deadline=None, max_examples=25
+)
+settings.load_profile("deterministic")
 
 
 def naive_path_length(x: int) -> tuple[int, int, int, int]:

@@ -119,7 +119,6 @@ def test_criterion_01_fast_tier_exact(criterion):
     criterion(1, "fast-tier path lengths recomputed exactly", check)
 
 
-@pytest.mark.long
 def test_criterion_02_medium_tier_exact(criterion):
     def check():
         for rank, exponent, expected_d in MEDIUM_TIER:

@@ -1,11 +1,15 @@
 """Command-line behaviour, run in-process through main()."""
 
 import csv as csv_module
+import os
+import subprocess
+import sys
 
 import pytest
 
 from conftest import naive_path_length
 
+import collatzpath
 from collatzpath import (
     CatalogEntry,
     advance,
@@ -287,6 +291,20 @@ def test_cycle_guard_failure(capsys):
     code, _, err = run_cli(capsys, "pathlen", "27", "--cycle-guard", "10")
     assert code == 3
     assert "cycle guard" in err
+
+
+def test_cycle_guard_failure_on_a_huge_start():
+    # Run as a real process: the exit status and stderr are what a shell sees.
+    package_root = os.path.dirname(os.path.dirname(collatzpath.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    command = "from collatzpath.cli import main_entry; main_entry()"
+    done = subprocess.run(
+        [sys.executable, "-c", command, "pathlen", "M19937", "--cycle-guard", "1000"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 3
+    assert "cycle guard" in done.stderr and "19937-bit start" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_unresolvable_rank_is_a_runtime_failure(capsys):

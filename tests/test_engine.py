@@ -1,6 +1,7 @@
-"""Engine tests: the fused loop must agree with a naive stepper everywhere."""
+"""Engine tests: the stepping kernel must agree with a naive stepper everywhere."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import naive_path_length, naive_step
 
@@ -32,13 +33,37 @@ def naive_partial(x: int, budget: int, *, halt: bool = True) -> tuple[int, int, 
         if halt and x == 1:
             break
         if x & 1:
-            x = 3 * x + 1
             odd += 1
         else:
-            x >>= 1
             even += 1
+        x = naive_step(x)
         peak = max(peak, x.bit_length())
     return x, odd + even, odd, even, peak
+
+
+def state_fields(state: IterationState) -> tuple[int, int, int, int, int]:
+    return (
+        state.current, state.steps, state.odd_steps, state.even_steps, state.peak_bit_length,
+    )
+
+
+def result_fields(result: PathResult) -> tuple[int, int, int, int]:
+    return result.d, result.odd_steps, result.even_steps, result.peak_bit_length
+
+
+BLOCK = engine_module._BLOCK
+
+# Starts whose bit lengths straddle the width where the kernel switches
+# between blocks and fused steps.  A run of low one bits makes the path
+# climb, which is where a block's steps set the peak.
+block_sized_starts = st.builds(
+    lambda x, ones: x | ((1 << ones) - 1),
+    st.integers(engine_module._BLOCK_MIN_BITS - 64, engine_module._BLOCK_MIN_BITS + 2 * BLOCK)
+    .flatmap(lambda n: st.integers(1 << (n - 1), (1 << n) - 1)),
+    st.sampled_from([0, 3, BLOCK // 2, BLOCK, 2 * BLOCK]),
+)
+# Budgets around one block's cost (BLOCK to 2 * BLOCK rule applications).
+block_budgets = st.integers(0, 3 * BLOCK)
 
 
 @pytest.mark.parametrize(
@@ -312,20 +337,84 @@ def test_state_and_result_validation():
         PathResult(d=-1, odd_steps=-1, even_steps=0, peak_bit_length=1)
 
 
-@pytest.mark.skipif(engine_module._gmpy2 is None, reason="gmpy2 not installed")
-def test_int_and_mpz_backends_agree(rng):
-    guard = 10**9
+def test_path_length_matches_naive_wide_random(rng):
     for _ in range(3):
         x = rng.getrandbits(5000) | (1 << 5000) | 1
-        assert engine_module._path_length_int(x, guard) == engine_module._path_length_mpz(x, guard)
+        assert result_fields(path_length(x)) == naive_path_length(x), x
 
 
-@pytest.mark.skipif(engine_module._gmpy2 is None, reason="gmpy2 not installed")
-def test_advance_above_cutover_matches_plain_loop(rng):
+def test_advance_to_halt_matches_naive_wide_random(rng):
     x = rng.getrandbits(4200) | (1 << 4200) | 1
-    reference = engine_module._path_length_int(x, 10**9)
     state = advance(initial_state(x), 10**9)
     assert state.halted
-    assert (state.steps, state.odd_steps, state.even_steps, state.peak_bit_length) == (
-        reference.d, reference.odd_steps, reference.even_steps, reference.peak_bit_length,
-    )
+    assert state_fields(state)[1:] == naive_path_length(x)
+
+
+def test_cycle_guard_boundary_on_a_block_sized_start():
+    x = (1 << 2203) - 1
+    d = 29821
+    assert path_length(x, cycle_guard=d).d == d
+    assert advance(initial_state(x), 10**6, cycle_guard=d).steps == d
+    trips = [
+        lambda guard: path_length(x, cycle_guard=guard),
+        lambda guard: advance(initial_state(x), 10**6, cycle_guard=guard),
+        lambda guard: raw_advance(initial_state(x), d, cycle_guard=guard),
+    ]
+    for trip in trips:
+        for guard in (d - 1, 1000):
+            with pytest.raises(CycleGuardExceeded) as excinfo:
+                trip(guard)
+            assert (excinfo.value.start, excinfo.value.limit) == (x, guard)
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_block_peak_on_a_power_of_two_boundary(above):
+    # A block of low one bits climbs all the way, and its last 3x+1 is
+    # 2 * (3**BLOCK * (a + 1) - 1).  With 3**BLOCK * a just above or just
+    # below 2**top, the float estimate of that bit length lies within
+    # rounding of an integer, so the kernel must settle it exactly.
+    top = 2 * BLOCK + 200
+    a = -(-(1 << top) // 3**BLOCK) if above else (1 << top) // 3**BLOCK - 1
+    x = (a << BLOCK) | ((1 << BLOCK) - 1)
+    assert state_fields(advance(initial_state(x), 2 * BLOCK)) == naive_partial(x, 2 * BLOCK)
+    assert result_fields(path_length(x)) == naive_path_length(x)
+
+
+def test_block_peak_against_a_carried_peak():
+    # A block that climbs all the way ends within a few bits of the bound
+    # that decides whether its steps are scanned, so a carried peak just
+    # below its highest 3x+1 must still be beaten.
+    x = (((1 << 300) + 12345) << BLOCK) | ((1 << BLOCK) - 1)
+    value, steps, odd, even, top = naive_partial(x, 2 * BLOCK)
+    for carried in (top - 1, top, top + 1):
+        state = IterationState(current=x, peak_bit_length=carried)
+        got = advance(state, 2 * BLOCK)
+        assert state_fields(got) == (value, steps, odd, even, max(carried, top))
+
+
+@given(block_sized_starts)
+def test_path_length_matches_naive_around_the_block_width(x):
+    assert result_fields(path_length(x)) == naive_path_length(x)
+
+
+@given(block_sized_starts, st.lists(block_budgets, min_size=1, max_size=6))
+def test_advance_budgets_that_split_blocks_match_naive(x, budgets):
+    state = initial_state(x)
+    naive = (x, 0, 0, 0, x.bit_length())
+    for budget in budgets:
+        state = advance(state, budget)
+        value, steps, odd, even, peak = naive_partial(naive[0], budget)
+        naive = (value, naive[1] + steps, naive[2] + odd, naive[3] + even, max(naive[4], peak))
+        assert state_fields(state) == naive
+
+
+@given(block_sized_starts, block_budgets, block_budgets)
+def test_advance_concatenates_across_blocks(x, a, b):
+    s0 = initial_state(x)
+    assert advance(advance(s0, a), b) == advance(s0, a + b)
+
+
+@given(block_sized_starts, st.integers(0, 40))
+def test_raw_advance_runs_through_one(x, extra):
+    steps = naive_path_length(x)[0] + extra
+    assert state_fields(raw_advance(initial_state(x), steps)) == naive_partial(x, steps, halt=False)
