@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import binascii
 import os
-import tempfile
 from dataclasses import dataclass
 
 from .engine import IterationState
@@ -121,6 +120,8 @@ def serialize_checkpoint(cp: Checkpoint) -> bytes:
 
 def checkpoint_write(path: str | os.PathLike, state: IterationState) -> Checkpoint:
     """Atomically persist a state; returns the checkpoint written."""
+    import tempfile
+
     cp = checkpoint_from_state(state)
     data = serialize_checkpoint(cp)
     directory = os.path.dirname(os.path.abspath(os.fspath(path))) or "."

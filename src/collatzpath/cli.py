@@ -31,7 +31,7 @@ from .engine import (
     trace,
 )
 from .errors import CollatzPathError, OriginMismatch, ParseError, RangeError
-from .expressions import NumberExpression, parse_expression
+from .expressions import NumberExpression, decimal_text, parse_expression
 from .heuristics import fit_loglog, mersenne_heuristic
 from .survey import (
     SetLabel,
@@ -52,8 +52,9 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
-# Above this exponent a recomputation stops being an interactive wait.
-_SLOW_EXPONENT = 1_000_000
+# Above this exponent a recomputation stops being an interactive wait:
+# D(2**n - 1) takes about 15 s at n = 3M and a minute at n = 7M.
+_SLOW_EXPONENT = 4_000_000
 
 
 class _UsageError(Exception):
@@ -171,7 +172,7 @@ def _cmd_pathlen(args: argparse.Namespace, out: TextIO) -> int:
     if args.trace_limit is not None:
         entries = trace(expr.resolve(), args.trace_limit, cycle_guard=args.cycle_guard)
         header.append("trace")
-        row.append(" ".join(str(v) for v in entries))
+        row.append(" ".join(decimal_text(v) for v in entries))
     w = _make_writer(args, out)
     w.writerow(header)
     w.writerow(row)
@@ -389,6 +390,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RUNTIME
     except OSError as exc:
         print(f"collatzpath: i/o error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except Exception as exc:
+        # Anything unforeseen is a runtime failure, reported in one line
+        # rather than a traceback.
+        print(f"collatzpath: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -5,24 +5,47 @@ The path length D(x) is the number of single rule applications needed to
 reach 1 from x, so D(1) = 0, D(7) = 16, D(2**n) = n.
 
 Every iterating entry point runs one private kernel, _walk, which never
-applies rules one at a time.  While the value is wide it takes blocks of
-_BLOCK steps of the shortcut map T(x) = x/2 or (3x+1)/2.  The parities of
-the first k steps of T depend only on x mod 2**k (Terras 1976; Lagarias
-1985), so writing x = 2**W * a + b with b < 2**W gives
+applies rules one at a time.  It moves by the shortcut map T(x) = x/2 or
+(3x+1)/2.  The parities of the first k steps of T depend only on
+x mod 2**k (Terras 1976; Lagarias 1985), so writing x = 2**k * a + b with
+b < 2**k gives
 
-    T**W(x) = 3**c * a + T**W(b),
+    T**k(x) = 3**c * a + T**k(b),
 
-where c counts the odd steps.  A pass over the small value b, eight steps
-per lookup in a 256-entry table, yields c and T**W(b); one multiply-add on
-the wide value then stands for W + c rule applications (c odd, W even).
-Near 1 the kernel falls back to the fused step: for odd x it computes
-y = 3x+1 and divides out all trailing zero bits of y at once.
+where c counts the odd steps; one multiply-add on the wide value then
+stands for k + c rule applications (c odd, k even).
 
-Both modes keep every count exact.  A block a budget cannot afford is cut
+While x is wide the kernel jumps about half its bit length in steps at
+once.  _jump finds c and T**k(b) the way the binary recursive GCD finds
+its quotients (Stehle and Zimmermann 2004): it decides the first half of
+the steps from the low half of b, applies them to the rest of b with one
+multiply, and decides the second half from the low bits of the result.
+Its leaves are passes over at most _BLOCK = 512 steps, eight steps per
+lookup in a 256-entry table, so the cost is a few balanced multiplies per
+level instead of one multiply of the whole value per 512 steps.  Where a
+jump would be shorter than _JUMP_MIN = 2048 steps (values under about 4200
+bits, or budgets under 4096 rule applications) the kernel takes blocks of
+at most 512 table-driven steps, and near 1 it falls back to the fused
+step: for odd x it computes y = 3x+1 and divides out all trailing zero
+bits of y at once.
+
+Every count stays exact.  A jump takes at most half the remaining budget
+in steps, so it never overshoots; a block a budget cannot afford is cut
 short after the last step that fits, and a fused step is split after its
-3x+1 half when only one rule application is left.  The peak bit length
-over a block comes from a float estimate of each odd step's 3x+1 that is
-exact unless it sits near an integer, in which case that value is built.
+3x+1 half when only one rule application is left.
+
+The peak bit length comes from the excursion c*log2(3) - j of each odd
+step j, c counting the odd steps up to and including it: that step's 3x+1
+has log2(a) + k + the excursion as its log2, to within 2**-61.  Each table
+entry carries the largest excursion of its eight steps, so a leaf finds
+its largest with one comparison per lookup, and only leaves that could
+climb above the peak so far track it at all.  Across leaves the largest is
+carried as an integer with _FIX = 96 fractional bits, exact to within
+c * 2**-96.  The bit length is read from a float estimate that errs by
+less than 1e-12 in all; when that estimate lies within _NEAR_INTEGER =
+1e-7 of an integer, the move is replayed with narrower moves (a jump as
+shorter jumps and blocks, a block as fused steps), and fused steps build
+every 3x+1 exactly.
 
 Values are plain Python ints throughout.  Termination of the iteration is
 an open conjecture, so every iterating function takes a cycle_guard step
@@ -51,38 +74,56 @@ DEFAULT_CYCLE_GUARD = 10**12
 _BLOCK = 512
 _BLOCK_MASK = (1 << _BLOCK) - 1
 # Blocks run only while the high part a = x >> _BLOCK has 64 bits or more,
-# which keeps every value they produce above 1 and bounds the error of the
-# peak estimate.
+# and jumps keep the same margin, which keeps every value they produce
+# above 1 and bounds the error of the peak estimate.
 _BLOCK_MIN_BITS = _BLOCK + 64
+# The fewest shortcut steps a recursive jump takes; shorter moves are blocks.
+_JUMP_MIN = 4 * _BLOCK
 
 _LOG2_3 = math.log2(3)
+# floor(log2(3) * 2**_FIX): excursions are compared and summed in this fixed
+# point, where one after c odd steps is low by less than c * 2**-_FIX.
+_FIX = 96
+_LOG2_3_FIX = 0x1_95C0_1A39_FBD6_879F_A00B_120A
+_FIX_MASK = (1 << _FIX) - 1
 # A float estimate of a bit length this close to an integer is settled exactly.
 _NEAR_INTEGER = 1e-7
+# Above log2(3) - 1, the most one shortcut step can add to log2(x).
+_CLIMB = 0.585
 
 
-def _eight_step_table() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    # For r < 256: T**8(256*q + r) = 3**odd[r] * q + tail[r].
-    mul, tail, odd = [], [], []
+def _eight_step_table() -> tuple[tuple, ...]:
+    # For r < 256: T**8(256*q + r) = 3**odd[r] * q + tail[r].  Of the odd
+    # steps among the eight, the one with the largest excursion
+    # c*log2(3) - j (c counting odd steps up to and including step j) has
+    # excursion exc[r], at_odd[r] = c and at_step[r] = j; r = 0 has none.
+    mul, tail, odd, exc, at_odd, at_step = [], [], [], [], [], []
     for r in range(256):
         y, c = r, 0
-        for _ in range(8):
+        best, best_c, best_j = -math.inf, 0, 0
+        for j in range(8):
             if y & 1:
                 y = (3 * y + 1) >> 1
                 c += 1
+                if c * _LOG2_3 - j > best:
+                    best, best_c, best_j = c * _LOG2_3 - j, c, j
             else:
                 y >>= 1
         mul.append(3**c)
         tail.append(y)
         odd.append(c)
-    return tuple(mul), tuple(tail), tuple(odd)
+        exc.append(best)
+        at_odd.append(best_c)
+        at_step.append(best_j)
+    return tuple(mul), tuple(tail), tuple(odd), tuple(exc), tuple(at_odd), tuple(at_step)
 
 
-_T8_MUL, _T8_TAIL, _T8_ODD = _eight_step_table()
+_T8_MUL, _T8_TAIL, _T8_ODD, _T8_EXC, _T8_AT_ODD, _T8_AT_STEP = _eight_step_table()
 
 
 @functools.cache
 def _pow3(c: int) -> int:
-    # c never exceeds _BLOCK, so the cache stays small.
+    # Blocks and leaves only: c never exceeds _BLOCK, so the cache stays small.
     return 3**c
 
 
@@ -198,114 +239,189 @@ def odd_step_accelerated(x: Natural) -> tuple[Natural, int]:
     return y >> t, 1 + t
 
 
-def _block_peak(a: int, b: int, steps: int) -> int:
-    """Largest bit length of 3x+1 over the odd steps of a block, or 0.
+def _leaf(y: int, lookups: int, track: bool) -> tuple[int, int, int | None]:
+    """8 * lookups shortcut steps of y by table: (c, T**(8 * lookups)(y), excursion).
 
-    The block runs steps shortcut steps from x = 2**_BLOCK * a + b.  Its
-    step j starts from x_j = 3**c_j * 2**(_BLOCK - j) * a + T**j(b), so an
-    odd step makes 3*x_j + 1 = 2 * (3**c * 2**(_BLOCK - j - 1) * a + T**(j+1)(b))
-    with c = c_(j+1).  Because T**(j+1)(b) < 2 * 3**c * 2**(_BLOCK - j - 1)
-    and a >= 2**63, its log2 is log2(a) + _BLOCK + c*log2(3) - j to within
-    2**-61, and the bit length is one more than the floor of that.  Two
-    steps of one block differ in c*log2(3) - j by at least 1.4e-3 (the
-    closest approach of c*log2(3) to an integer for c <= 512), so only the
-    largest can decide the floor, and it is built exactly when its estimate
-    lies within _NEAR_INTEGER of an integer.
+    c counts the odd steps.  When track is set, the excursion is the largest
+    c*log2(3) - j over the odd steps j, c counting the odd steps up to and
+    including step j, in _FIX fixed point; it is None when untracked or
+    when no step is odd.  A leaf has at most _BLOCK steps,
+    where two excursions differ by at least 1.4e-3 (the closest approach of
+    c*log2(3) to an integer for c <= 512), so the float comparison below
+    picks the largest exactly.
     """
-    y = b
     c = 0
     best = -math.inf
-    for j in range(steps):
-        if y & 1:
-            y = (3 * y + 1) >> 1
-            c += 1
-            excursion = c * _LOG2_3 - j
-            if excursion > best:
-                best, best_c, best_j, best_y = excursion, c, j, y
-        else:
-            y >>= 1
+    for j in range(0, lookups << 3, 8):
+        r = y & 255
+        y = _T8_MUL[r] * (y >> 8) + _T8_TAIL[r]
+        if track:
+            e = c * _LOG2_3 - j + _T8_EXC[r]
+            if e > best:
+                best, at_odd, at_step = e, c + _T8_AT_ODD[r], j + _T8_AT_STEP[r]
+        c += _T8_ODD[r]
     if best == -math.inf:
-        return 0
+        return c, y, None
+    return c, y, at_odd * _LOG2_3_FIX - (at_step << _FIX)
+
+
+def _later(first: int | None, second: int | None, c: int, k: int) -> int | None:
+    # The excursion of two moves made in turn, the first taking k steps
+    # with c odd ones: the second's excursion counts from where it starts.
+    if second is None:
+        return first
+    second += c * _LOG2_3_FIX - (k << _FIX)
+    return second if first is None or second > first else first
+
+
+def _jump(low: int, k: int, room: float) -> tuple[int, int, int, int | None]:
+    """k shortcut steps of low < 2**k, k a multiple of 8: (c, 3**c, T**k(low), excursion).
+
+    Decides the first half of the steps recursively, applies them to the
+    rest of low with one multiply, and decides the second half from the
+    low bits of that.  room is how far the peak lies above the bit length
+    the jump starts from; a leaf tracks its excursion only if it could
+    climb that far.
+    """
+    if k <= _BLOCK:
+        c, y, exc = _leaf(low, k >> 3, _CLIMB * k + 3 > room)
+        return c, _pow3(c), y, exc
+    half = k >> 4 << 3
+    c1, p1, y1, e1 = _jump(low & ((1 << half) - 1), half, room)
+    rest = k - half
+    mid = p1 * (low >> half) + y1
+    c2, p2, y2, e2 = _jump(mid & ((1 << rest) - 1), rest, room - (c1 * _LOG2_3 - half))
+    return c1 + c2, p1 * p2, p2 * (mid >> rest) + y2, _later(e1, e2, c1, half)
+
+
+def _block(low: int, budget: int, track: bool) -> tuple[int, int, int, int | None]:
+    """Up to _BLOCK shortcut steps of low within budget rule applications.
+
+    Returns (c, k, T**k(low), excursion) for the k steps taken.  Eight
+    steps cost at most 16 rule applications, so each round takes only as
+    many table lookups as the budget surely affords; the last few steps go
+    one at a time.
+    """
+    y = low
+    c = k = 0
+    exc = None
+    while k < _BLOCK and budget >= 16:
+        lookups = min((_BLOCK - k) >> 3, budget >> 4)
+        dc, y, e = _leaf(y, lookups, track)
+        exc = _later(exc, e, c, k)
+        c += dc
+        k += lookups << 3
+        budget -= (lookups << 3) + dc
+    while k < _BLOCK:
+        if y & 1:
+            if budget < 2:
+                break
+            y = (3 * y + 1) >> 1
+            if track:
+                exc = _later(exc, _LOG2_3_FIX, c, k)
+            c += 1
+            budget -= 2
+        else:
+            if not budget:
+                break
+            y >>= 1
+            budget -= 1
+        k += 1
+    return c, k, y, exc
+
+
+def _peak_after(peak: int, a: int, width: int, exc: int) -> int | None:
+    """max(peak, the bit length of the 3x+1 at a move's largest excursion).
+
+    The move takes shortcut steps from x = 2**width * a + b, b < 2**width.
+    Its step j starts from x_j = 3**c_j * 2**(width - j) * a + T**j(b), so
+    an odd step makes 3*x_j + 1 = 2 * (3**c * 2**(width - j - 1) * a + T**(j+1)(b))
+    with c = c_(j+1).  Because T**(j+1)(b) < 2 * 3**c * 2**(width - j - 1)
+    and a >= 2**63, its log2 is log2(a) + width + c*log2(3) - j plus less
+    than 2**-61, and the bit length is one more than the floor of that.
+    The estimate below errs by less than 1e-13 from the float log2 of a's
+    top 64 bits, plus c * 2**-_FIX from the fixed-point excursion, plus as
+    much again if a near-tie picked the wrong step as the largest: less
+    than 1e-12 in all, for c below 2**50, far inside _NEAR_INTEGER.
+    Returns None when the estimate lies that close to an integer and
+    either reading would raise the peak.
+    """
     shift = a.bit_length() - 64
-    estimate = math.log2(a >> shift) + best
-    whole = math.floor(estimate)
-    if _NEAR_INTEGER < estimate - whole < 1 - _NEAR_INTEGER:
-        return shift + _BLOCK + whole + 1
-    halved = (_pow3(best_c) * a << (_BLOCK - best_j - 1)) + best_y
-    return halved.bit_length() + 1
+    whole = shift + 63 + width + (exc >> _FIX)
+    frac = math.log2(a >> shift) - 63 + (exc & _FIX_MASK) / (1 << _FIX)
+    near = round(frac)
+    if abs(frac - near) > _NEAR_INTEGER:
+        return max(peak, whole + math.floor(frac) + 1)
+    if whole + near + 1 <= peak:
+        return peak
+    return None
 
 
 def _walk(
-    x: int, odd: int, even: int, peak: int, budget: int, guard: int, start: int, halt: bool
+    x: int,
+    odd: int,
+    even: int,
+    peak: int,
+    budget: int,
+    guard: int,
+    start: int,
+    halt: bool,
+    widest: float = math.inf,
 ) -> tuple[int, int, int, int]:
     """The stepping kernel: up to budget rule applications from x.
 
     odd, even and peak carry the counters of the run so far and come back
     updated with the new current value.  With halt set, the walk stops on
-    reaching 1.  Raises CycleGuardExceeded, reporting start, as soon as
-    odd + even passes guard.
+    reaching 1.  No move takes more than widest shortcut steps.  Raises
+    CycleGuardExceeded, reporting start, as soon as odd + even passes guard.
     """
     remaining = budget
     while remaining and not (halt and x == 1):
         bits = x.bit_length()
-        if bits >= _BLOCK_MIN_BITS and remaining >= 2:
-            # A block of k <= _BLOCK shortcut steps on the low bits.  Eight
-            # steps cost at most 16 rule applications, so each round takes
-            # only as many table lookups as the budget surely affords; the
-            # last few steps go one at a time.
-            low = x & _BLOCK_MASK
-            y = low
-            c = k = 0
-            while k < _BLOCK and remaining >= 16:
-                lookups = min((_BLOCK - k) >> 3, remaining >> 4)
-                before = c
-                for _ in range(lookups):
-                    r = y & 255
-                    y = _T8_MUL[r] * (y >> 8) + _T8_TAIL[r]
-                    c += _T8_ODD[r]
-                k += lookups << 3
-                remaining -= (lookups << 3) + c - before
-            while k < _BLOCK:
-                if y & 1:
-                    if remaining < 2:
-                        break
-                    y = (3 * y + 1) >> 1
-                    c += 1
-                    remaining -= 2
-                else:
-                    if not remaining:
-                        break
-                    y >>= 1
-                    remaining -= 1
-                k += 1
-            a = x >> _BLOCK
-            # An odd step of the block makes 3x+1 of fewer than
-            # bits + (log2(3) - 1) * c + 2 bits; scan the steps only when
-            # that could beat the peak.
-            if bits + 0.585 * c + 3 > peak:
-                peak = max(peak, _block_peak(a, low, k))
-            x = (_pow3(c) * a << (_BLOCK - k)) + y
-            odd += c
-            even += k
-        elif x & 1:
-            y = 3 * x + 1
-            b = y.bit_length()
-            if b > peak:
-                peak = b
-            t = _trailing_zeros(y)
-            if t >= remaining:
-                t = remaining - 1
-            x = y >> t
-            odd += 1
-            even += t
-            remaining -= t + 1
+        # k shortcut steps cost at most 2k rule applications and leave
+        # a = x >> k at least 64 bits wide.
+        k = min(bits - 64, remaining, widest) >> 1 & -8
+        if k >= _JUMP_MIN:
+            width = k
+            c, power, y, exc = _jump(x & ((1 << k) - 1), k, peak - bits)
+        elif bits >= _BLOCK_MIN_BITS and remaining >= 2 and widest >= _BLOCK:
+            width = _BLOCK
+            c, k, y, exc = _block(x & _BLOCK_MASK, remaining, bits + _CLIMB * _BLOCK + 3 > peak)
+            power = _pow3(c)
         else:
-            t = _trailing_zeros(x)
-            if t > remaining:
-                t = remaining
-            x >>= t
-            even += t
-            remaining -= t
+            width = 0
+            if x & 1:
+                y = 3 * x + 1
+                b = y.bit_length()
+                if b > peak:
+                    peak = b
+                t = _trailing_zeros(y)
+                if t >= remaining:
+                    t = remaining - 1
+                x = y >> t
+                odd += 1
+                even += t
+                remaining -= t + 1
+            else:
+                t = _trailing_zeros(x)
+                if t > remaining:
+                    t = remaining
+                x >>= t
+                even += t
+                remaining -= t
+        if width:
+            a = x >> width
+            top = peak if exc is None else _peak_after(peak, a, width, exc)
+            if top is None:
+                # Replaying the move's k + c rule applications with narrower
+                # moves settles the peak exactly; fused steps always do.
+                x, odd, even, peak = _walk(x, odd, even, peak, k + c, guard, start, halt, width - 1)
+            else:
+                x = (power * a << (width - k)) + y
+                odd += c
+                even += k
+                peak = top
+            remaining -= k + c
         if odd + even > guard:
             raise CycleGuardExceeded(start, guard)
     return x, odd, even, peak

@@ -22,6 +22,29 @@ from .catalog import catalog_entry, mersenne_number
 from .errors import DomainError, ParseError
 
 
+# Python refuses str(int) and int(str) past a digit limit (4300 by default,
+# settable down to 640), so longer decimals are converted in pieces of at
+# most this many digits.
+_DIGIT_PIECE = 600
+
+
+def decimal_text(value: int) -> str:
+    """The decimal digits of a non-negative int, at any length."""
+    if value < 10**_DIGIT_PIECE:
+        return str(value)
+    # A split at half the digit count keeps both pieces' lengths balanced.
+    half = value.bit_length() * 3 // 20
+    high, low = divmod(value, 10**half)
+    return decimal_text(high) + decimal_text(low).zfill(half)
+
+
+def _decimal_value(digits: str) -> int:
+    if len(digits) <= _DIGIT_PIECE:
+        return int(digits)
+    half = len(digits) // 2
+    return _decimal_value(digits[:-half]) * 10**half + _decimal_value(digits[-half:])
+
+
 class ExpressionKind(str, Enum):
     DECIMAL = "decimal"
     POWER_OF_TWO = "power_of_two"
@@ -53,7 +76,7 @@ class NumberExpression:
     def canonical(self) -> str:
         """The shortest spelling; re-parsing it yields an equal expression."""
         if self.kind is ExpressionKind.DECIMAL:
-            return str(self.parameter)
+            return decimal_text(self.parameter)
         if self.kind is ExpressionKind.POWER_OF_TWO:
             return f"2^{self.parameter}"
         if self.kind is ExpressionKind.MERSENNE_BY_EXPONENT:
@@ -111,7 +134,7 @@ def _scan_decimal(text: str, start: int) -> tuple[int, int]:
                 raise ParseError(text, i + 1, "a decimal digit after '_'")
         else:
             break
-    return int("".join(digits)), i
+    return _decimal_value("".join(digits)), i
 
 
 def parse_expression(text: str) -> NumberExpression:

@@ -20,8 +20,6 @@ ones from scratch takes minutes each and is strictly opt-in.
 from __future__ import annotations
 
 import operator
-import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -172,6 +170,8 @@ def ratio_stats(pairs: list[tuple[int, int]]) -> RatioStats:
     and only the former matches the published value.  The test suite
     re-derives this discrimination rather than trusting the comment.
     """
+    import statistics
+
     ratios = []
     for n, d in pairs:
         n = operator.index(n)
@@ -319,6 +319,8 @@ def scan_ratios(
     exponents = _scan_exponents(center, count_each_side, stride, primes_only)
     work = [(n, cycle_guard) for n in exponents]
     if jobs > 1 and len(exponents) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             measured = list(pool.map(_scan_worker, work))
     else:

@@ -69,6 +69,11 @@ MEDIUM_TIER = (
     (30, 132049, 1771117), (31, 216091, 2906179),
 )
 
+LARGE_TIER = (
+    (32, 756839, 10197081), (33, 859433, 11568589),
+    (34, 1257787, 16927967), (35, 1398269, 18807193),
+)
+
 SEVEN_TRACE = [7, 22, 11, 34, 17, 52, 26, 13, 40, 20, 10, 5, 16, 8, 4, 2, 1]
 
 SET_A_ROW = (
@@ -141,6 +146,18 @@ def test_criterion_03_large_tier_stays_reachable(criterion):
         return "verify accepts ranks 32..47 for opt-in runs"
 
     criterion(3, "large tier delegated to checkpointing plus oracle equivalence", check)
+
+
+@pytest.mark.long
+def test_criterion_03_large_tier_recomputed_exactly(criterion):
+    def check():
+        for rank, exponent, expected_d in LARGE_TIER:
+            entry = catalog_entry(rank)
+            assert (entry.exponent, entry.reference_d) == (exponent, expected_d)
+            assert path_length(mersenne_number(exponent)).d == expected_d, exponent
+        return "ranks 32..35"
+
+    criterion(3, "large-tier path lengths recomputed exactly", check)
 
 
 def test_criterion_04_identity_suite(criterion):

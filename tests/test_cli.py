@@ -293,18 +293,52 @@ def test_cycle_guard_failure(capsys):
     assert "cycle guard" in err
 
 
-def test_cycle_guard_failure_on_a_huge_start():
+def run_process(*argv):
     # Run as a real process: the exit status and stderr are what a shell sees.
     package_root = os.path.dirname(os.path.dirname(collatzpath.__file__))
     env = dict(os.environ, PYTHONPATH=package_root)
     command = "from collatzpath.cli import main_entry; main_entry()"
-    done = subprocess.run(
-        [sys.executable, "-c", command, "pathlen", "M19937", "--cycle-guard", "1000"],
+    return subprocess.run(
+        [sys.executable, "-c", command, *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_cycle_guard_failure_on_a_huge_start():
+    done = run_process("pathlen", "M19937", "--cycle-guard", "1000")
     assert done.returncode == 3
     assert "cycle guard" in done.stderr and "19937-bit start" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_trace_of_a_start_past_the_digit_limit():
+    # 2**19937 - 1 has 6002 decimal digits, past str()'s default limit.
+    done = run_process("pathlen", "M19937", "--trace-limit", "1")
+    assert (done.returncode, done.stderr) == (0, "")
+    row = rows(done.stdout)[1]
+    assert row[:3] == ["M19937", "19937", "265860"]
+    assert len(row[6]) == 6002 and row[6][:6] == "431542" and row[6][-6:] == "041471"
+
+
+def test_decimal_start_past_the_digit_limit():
+    text = "7" * 5001
+    done = run_process("pathlen", text)
+    assert (done.returncode, done.stderr) == (0, "")
+    expected = path_length(parse_expression(text).resolve())
+    assert rows(done.stdout)[1] == [
+        text, "", str(expected.d), str(expected.odd_steps), str(expected.even_steps),
+        str(expected.peak_bit_length),
+    ]
+
+
+def test_unforeseen_failure_is_one_line_and_a_runtime_exit(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("something unforeseen")
+
+    monkeypatch.setattr("collatzpath.cli.path_length", broken)
+    code, out, err = run_cli(capsys, "pathlen", "27")
+    assert code == 3 and out == ""
+    assert err == "collatzpath: error: ValueError: something unforeseen\n"
 
 
 def test_unresolvable_rank_is_a_runtime_failure(capsys):

@@ -1,7 +1,9 @@
 """Engine tests: the stepping kernel must agree with a naive stepper everywhere."""
 
+from decimal import Decimal, localcontext
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import naive_path_length, naive_step
 
@@ -64,6 +66,24 @@ block_sized_starts = st.builds(
 )
 # Budgets around one block's cost (BLOCK to 2 * BLOCK rule applications).
 block_budgets = st.integers(0, 3 * BLOCK)
+
+JUMP_MIN = engine_module._JUMP_MIN
+
+
+def wide_starts(max_bits: int):
+    # From the narrowest start whose first move is a jump of JUMP_MIN steps,
+    # which recurses two levels down to its leaves.  A run of low one bits
+    # over a share of the width makes the path climb through the jumps.
+    return st.builds(
+        lambda x, share: x | ((1 << int(share * x.bit_length())) - 1),
+        st.integers(2 * JUMP_MIN + 64, max_bits)
+        .flatmap(lambda n: st.integers(1 << (n - 1), (1 << n) - 1)),
+        st.sampled_from([0, 0.25, 0.5, 1]),
+    )
+
+
+# Budgets from a short block to jumps of several recursion levels.
+wide_budgets = st.integers(0, 8 * JUMP_MIN)
 
 
 @pytest.mark.parametrize(
@@ -397,8 +417,7 @@ def test_path_length_matches_naive_around_the_block_width(x):
     assert result_fields(path_length(x)) == naive_path_length(x)
 
 
-@given(block_sized_starts, st.lists(block_budgets, min_size=1, max_size=6))
-def test_advance_budgets_that_split_blocks_match_naive(x, budgets):
+def assert_budgets_match_naive(x: int, budgets: list[int]) -> None:
     state = initial_state(x)
     naive = (x, 0, 0, 0, x.bit_length())
     for budget in budgets:
@@ -406,6 +425,11 @@ def test_advance_budgets_that_split_blocks_match_naive(x, budgets):
         value, steps, odd, even, peak = naive_partial(naive[0], budget)
         naive = (value, naive[1] + steps, naive[2] + odd, naive[3] + even, max(naive[4], peak))
         assert state_fields(state) == naive
+
+
+@given(block_sized_starts, st.lists(block_budgets, min_size=1, max_size=6))
+def test_advance_budgets_that_split_blocks_match_naive(x, budgets):
+    assert_budgets_match_naive(x, budgets)
 
 
 @given(block_sized_starts, block_budgets, block_budgets)
@@ -418,3 +442,57 @@ def test_advance_concatenates_across_blocks(x, a, b):
 def test_raw_advance_runs_through_one(x, extra):
     steps = naive_path_length(x)[0] + extra
     assert state_fields(raw_advance(initial_state(x), steps)) == naive_partial(x, steps, halt=False)
+
+
+def test_fixed_point_log2_3_is_the_floor():
+    with localcontext() as ctx:
+        ctx.prec = 60
+        scaled = Decimal(3).ln() / Decimal(2).ln() * 2**engine_module._FIX
+    assert engine_module._LOG2_3_FIX == int(scaled)
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_jump_peak_on_a_power_of_two_boundary(above):
+    # The first move is one jump of JUMP_MIN steps over low one bits, and
+    # its last 3x+1 is 2 * (3**k * (a + 1) - 1).  With 3**k * (a + 1) just
+    # above or just below 2**top, the estimate of that bit length lies
+    # within rounding of an integer, so the kernel must replay the jump
+    # with narrower moves, down to fused steps for the deciding block.
+    k = JUMP_MIN
+    top = 3 * k + 200
+    a = -(-(1 << top) // 3**k) - 1 if above else (1 << top) // 3**k - 1
+    x = (a << k) | ((1 << k) - 1)
+    assert state_fields(advance(initial_state(x), 2 * k)) == naive_partial(x, 2 * k)
+    assert result_fields(path_length(x)) == naive_path_length(x)
+
+
+def test_jump_peak_against_a_carried_peak():
+    # A jump over low one bits climbs all the way, so its last leaf ends
+    # within a few bits of the bound that decides whether a leaf tracks its
+    # excursion; a carried peak just below its highest 3x+1 must still be
+    # beaten.
+    k = JUMP_MIN
+    x = (((1 << (k + 300)) + 12345) << k) | ((1 << k) - 1)
+    value, steps, odd, even, top = naive_partial(x, 2 * k)
+    for carried in (top - 1, top, top + 1):
+        state = IterationState(current=x, peak_bit_length=carried)
+        got = advance(state, 2 * k)
+        assert state_fields(got) == (value, steps, odd, even, max(carried, top))
+
+
+@settings(max_examples=10)
+@given(wide_starts(10_000))
+def test_path_length_matches_naive_on_wide_starts(x):
+    assert result_fields(path_length(x)) == naive_path_length(x)
+
+
+@settings(max_examples=10)
+@given(wide_starts(40_000), st.lists(wide_budgets, min_size=1, max_size=3))
+def test_advance_budgets_that_split_wide_jumps_match_naive(x, budgets):
+    assert_budgets_match_naive(x, budgets)
+
+
+@given(wide_starts(40_000), st.integers(0, 80_000), st.integers(0, 80_000))
+def test_advance_concatenates_across_wide_jumps(x, a, b):
+    s0 = initial_state(x)
+    assert advance(advance(s0, a), b) == advance(s0, a + b)

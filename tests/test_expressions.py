@@ -11,6 +11,7 @@ from collatzpath import (
     mersenne_number,
     parse_expression,
 )
+from collatzpath.expressions import decimal_text
 
 VALID = [
     ("0", ExpressionKind.DECIMAL, 0, "0"),
@@ -140,3 +141,23 @@ def test_direct_construction_validates():
         NumberExpression(kind="decimal", parameter=5)
     with pytest.raises(DomainError):
         NumberExpression(kind=ExpressionKind.DECIMAL, parameter=-1)
+
+
+def test_decimal_text_matches_str_below_the_digit_limit(rng):
+    for bits in (1, 64, 1993, 1994, 1995, 4000, 8000, 14000):
+        value = rng.getrandbits(bits)
+        assert decimal_text(value) == str(value)
+
+
+@pytest.mark.parametrize("digits", [599, 600, 601, 4300, 4301, 12345])
+def test_decimals_past_the_digit_limit_round_trip(digits):
+    assert decimal_text(10**digits - 1) == "9" * digits
+    assert decimal_text(10**digits) == "1" + "0" * digits
+    text = ("1234567890" * 1235)[:digits]
+    expr = parse_expression(text)
+    assert expr.parameter % 10**9 == int(text[-9:])
+    assert expr.parameter // 10 ** (digits - 9) == int(text[:9])
+    assert expr.canonical() == text
+    assert decimal_text(expr.parameter) == text
+    spaced = parse_expression("_".join(text[i : i + 3] for i in range(0, digits, 3)))
+    assert spaced == expr
