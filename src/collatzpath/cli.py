@@ -19,7 +19,6 @@ from .catalog import (
     catalog_entries,
     catalog_entry,
     lucas_lehmer,
-    mersenne_number,
 )
 from .checkpoint import checkpoint_read, checkpoint_write
 from .engine import (
@@ -39,6 +38,7 @@ from .survey import (
     generate_set_B,
     fixture_set_C,
     fixture_set_D,
+    mersenne_path_lengths,
     mersenne_set,
     ratio_stats,
     reference_pairs,
@@ -61,25 +61,16 @@ class _UsageError(Exception):
     """Flag combinations argparse cannot catch on its own."""
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
+        return value
 
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _center_int(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("must be >= 2")
-    return value
+    # argparse names the type in its "invalid int value: ..." message.
+    parse.__name__ = "int"
+    return parse
 
 
 def _available_cpus() -> int:
@@ -110,23 +101,6 @@ def parse_rank_range(text: str) -> tuple[int, int]:
             f"ranks must satisfy 1 <= A <= B <= {CATALOG_SIZE}, got {text!r}"
         )
     return low, high
-
-
-def _pathlen_d_worker(args: tuple[int, int]) -> int:
-    n, guard = args
-    return path_length(mersenne_number(n), cycle_guard=guard).d
-
-
-def _map_jobs(jobs: int, work: list[tuple[int, int]]):
-    """Yield worker results in input order, fanning out when jobs > 1."""
-    if jobs > 1 and len(work) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(_pathlen_d_worker, work)
-    else:
-        for item in work:
-            yield _pathlen_d_worker(item)
 
 
 def _run_checkpointed(
@@ -196,11 +170,11 @@ def _cmd_catalog(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     low, high = parse_rank_range(args.ranks)
     rows = [catalog_entry(k) for k in range(low, high + 1)]
-    work = [(e.exponent, args.cycle_guard) for e in rows]
+    d_values = mersenne_path_lengths([e.exponent for e in rows], args.jobs, args.cycle_guard)
     w = _make_writer(args, out)
     w.writerow(["rank", "exponent", "reference_d", "computed_d", "match"])
     mismatched = False
-    for entry, computed in zip(rows, _map_jobs(args.jobs, work)):
+    for entry, computed in zip(rows, d_values):
         ok = computed == entry.reference_d
         mismatched = mismatched or not ok
         w.writerow([entry.rank, entry.exponent, entry.reference_d, computed, _bool_cell(ok)])
@@ -264,8 +238,8 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
                 f"reference values cover the default ranges",
                 file=sys.stderr,
             )
-        work = [(n, args.cycle_guard) for n in index_set.indices]
-        pairs = list(zip(index_set.indices, _map_jobs(args.jobs, work)))
+        d_values = mersenne_path_lengths(index_set.indices, args.jobs, args.cycle_guard)
+        pairs = list(zip(index_set.indices, d_values))
     stats = ratio_stats(pairs)
     w = _make_writer(args, out)
     w.writerow(["label", "count", "mean", "sample_variance"])
@@ -304,11 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="output delimiter family (default csv)",
     )
     common.add_argument(
-        "--jobs", type=_positive_int, default=_available_cpus(), metavar="J",
+        "--jobs", type=_int_at_least(1), default=_available_cpus(), metavar="J",
         help="worker processes for batch computations (default: available parallelism)",
     )
     common.add_argument(
-        "--cycle-guard", type=_positive_int, default=DEFAULT_CYCLE_GUARD, metavar="STEPS",
+        "--cycle-guard", type=_int_at_least(1), default=DEFAULT_CYCLE_GUARD, metavar="STEPS",
         help="step ceiling before an iteration fails loudly (default 10^12)",
     )
 
@@ -322,11 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr", help="e.g. 27, 2^20, M9689, Mp31")
     p.add_argument("--checkpoint", metavar="FILE", help="persist progress and resume from FILE")
     p.add_argument(
-        "--checkpoint-interval", type=_positive_int, default=DEFAULT_CHECKPOINT_INTERVAL,
+        "--checkpoint-interval", type=_int_at_least(1), default=DEFAULT_CHECKPOINT_INTERVAL,
         metavar="N", help="steps between checkpoint writes (default 10^7)",
     )
     p.add_argument(
-        "--trace-limit", type=_nonnegative_int, metavar="K",
+        "--trace-limit", type=_int_at_least(0), metavar="K",
         help="also emit the first K visited values",
     )
     p.set_defaults(handler=_cmd_pathlen)
@@ -340,17 +314,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("scan", parents=[common], help="D and D/n over a window of exponents")
-    p.add_argument("--center", type=_center_int, required=True, metavar="N")
-    p.add_argument("--each-side", type=_nonnegative_int, default=25, metavar="C")
-    p.add_argument("--stride", type=_positive_int, default=5, metavar="S")
+    p.add_argument("--center", type=_int_at_least(2), required=True, metavar="N")
+    p.add_argument("--each-side", type=_int_at_least(0), default=25, metavar="C")
+    p.add_argument("--stride", type=_int_at_least(1), default=5, metavar="S")
     p.add_argument("--primes-only", action="store_true")
     p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("stats", parents=[common], help="ratio statistics for a comparison set")
     p.add_argument("--set", required=True, choices=[label.value for label in SetLabel],
                    dest="set_label")
-    p.add_argument("--from-rank", type=_positive_int, metavar="K")
-    p.add_argument("--to-rank", type=_positive_int, metavar="L")
+    p.add_argument("--from-rank", type=_int_at_least(1), metavar="K")
+    p.add_argument("--to-rank", type=_int_at_least(1), metavar="L")
     p.add_argument(
         "--recompute", action="store_true",
         help="measure D with the engine instead of using reference values",
@@ -361,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("heuristic", parents=[common], help="closed-form estimate of D(2^n - 1)")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.set_defaults(handler=_cmd_heuristic)
 
     p = sub.add_parser("lucas-lehmer", parents=[common], help="primality of 2^p - 1")

@@ -15,23 +15,22 @@ b < 2**k gives
 where c counts the odd steps; one multiply-add on the wide value then
 stands for k + c rule applications (c odd, k even).
 
-While x is wide the kernel jumps about half its bit length in steps at
-once.  _jump finds c and T**k(b) the way the binary recursive GCD finds
-its quotients (Stehle and Zimmermann 2004): it decides the first half of
-the steps from the low half of b, applies them to the rest of b with one
-multiply, and decides the second half from the low bits of the result.
-Its leaves are passes over at most _BLOCK = 512 steps, eight steps per
-lookup in a 256-entry table, so the cost is a few balanced multiplies per
-level instead of one multiply of the whole value per 512 steps.  Where a
-jump would be shorter than _JUMP_MIN = 2048 steps (values under about 4200
-bits, or budgets under 4096 rule applications) the kernel takes blocks of
-at most 512 table-driven steps, and near 1 it falls back to the fused
+The kernel has two moves.  While x has 80 bits or more and the budget
+affords 16 rule applications, it jumps k shortcut steps at once, k about
+half the bit length (and at most half the budget) rounded down to a
+multiple of 8.  _jump finds c and T**k(b) the way the binary recursive GCD
+finds its quotients (Stehle and Zimmermann 2004): it decides the first
+half of the steps from the low half of b, applies them to the rest of b
+with one multiply, and decides the second half from the low bits of the
+result.  Its leaves are passes over at most _BLOCK = 512 steps, eight
+steps per lookup in a 256-entry table, so the cost is a few balanced
+multiplies per level instead of one multiply of the whole value per 512
+steps.  Otherwise, near 1 or at the end of a budget, it takes the fused
 step: for odd x it computes y = 3x+1 and divides out all trailing zero
 bits of y at once.
 
 Every count stays exact.  A jump takes at most half the remaining budget
-in steps, so it never overshoots; a block a budget cannot afford is cut
-short after the last step that fits, and a fused step is split after its
+in steps, so it never overshoots, and a fused step is split after its
 3x+1 half when only one rule application is left.
 
 The peak bit length comes from the excursion c*log2(3) - j of each odd
@@ -43,9 +42,8 @@ climb above the peak so far track it at all.  Across leaves the largest is
 carried as an integer with _FIX = 96 fractional bits, exact to within
 c * 2**-96.  The bit length is read from a float estimate that errs by
 less than 1e-12 in all; when that estimate lies within _NEAR_INTEGER =
-1e-7 of an integer, the move is replayed with narrower moves (a jump as
-shorter jumps and blocks, a block as fused steps), and fused steps build
-every 3x+1 exactly.
+1e-7 of an integer, the jump is replayed with narrower jumps, halving
+down to fused steps, which build every 3x+1 exactly.
 
 Values are plain Python ints throughout.  Termination of the iteration is
 an open conjecture, so every iterating function takes a cycle_guard step
@@ -60,7 +58,7 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import CycleGuardExceeded, DomainError
+from .errors import CycleGuardExceeded, DomainError, int_text
 
 if TYPE_CHECKING:
     from .expressions import NumberExpression
@@ -70,15 +68,8 @@ Natural = int
 
 DEFAULT_CYCLE_GUARD = 10**12
 
-# Shortcut steps per block; a multiple of the table's 8.
+# The most shortcut steps a leaf takes; a multiple of the table's 8.
 _BLOCK = 512
-_BLOCK_MASK = (1 << _BLOCK) - 1
-# Blocks run only while the high part a = x >> _BLOCK has 64 bits or more,
-# and jumps keep the same margin, which keeps every value they produce
-# above 1 and bounds the error of the peak estimate.
-_BLOCK_MIN_BITS = _BLOCK + 64
-# The fewest shortcut steps a recursive jump takes; shorter moves are blocks.
-_JUMP_MIN = 4 * _BLOCK
 
 _LOG2_3 = math.log2(3)
 # floor(log2(3) * 2**_FIX): excursions are compared and summed in this fixed
@@ -123,7 +114,7 @@ _T8_MUL, _T8_TAIL, _T8_ODD, _T8_EXC, _T8_AT_ODD, _T8_AT_STEP = _eight_step_table
 
 @functools.cache
 def _pow3(c: int) -> int:
-    # Blocks and leaves only: c never exceeds _BLOCK, so the cache stays small.
+    # Leaves only: c never exceeds _BLOCK, so the cache stays small.
     return 3**c
 
 
@@ -134,7 +125,7 @@ def _as_natural(value: object, minimum: int, name: str) -> int:
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {type(value).__name__}") from None
     if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+        raise DomainError(f"{name} must be >= {minimum}, got {int_text(value, 'value')}")
     return value
 
 
@@ -233,7 +224,7 @@ def odd_step_accelerated(x: Natural) -> tuple[Natural, int]:
     """
     x = _as_natural(x, 1, "x")
     if not x & 1:
-        raise DomainError(f"x must be odd, got {x}")
+        raise DomainError(f"x must be odd, got {int_text(x, 'value')}")
     y = 3 * x + 1
     t = _trailing_zeros(y)
     return y >> t, 1 + t
@@ -294,50 +285,14 @@ def _jump(low: int, k: int, room: float) -> tuple[int, int, int, int | None]:
     return c1 + c2, p1 * p2, p2 * (mid >> rest) + y2, _later(e1, e2, c1, half)
 
 
-def _block(low: int, budget: int, track: bool) -> tuple[int, int, int, int | None]:
-    """Up to _BLOCK shortcut steps of low within budget rule applications.
+def _peak_after(peak: int, a: int, k: int, exc: int) -> int | None:
+    """max(peak, the bit length of the 3x+1 at a jump's largest excursion).
 
-    Returns (c, k, T**k(low), excursion) for the k steps taken.  Eight
-    steps cost at most 16 rule applications, so each round takes only as
-    many table lookups as the budget surely affords; the last few steps go
-    one at a time.
-    """
-    y = low
-    c = k = 0
-    exc = None
-    while k < _BLOCK and budget >= 16:
-        lookups = min((_BLOCK - k) >> 3, budget >> 4)
-        dc, y, e = _leaf(y, lookups, track)
-        exc = _later(exc, e, c, k)
-        c += dc
-        k += lookups << 3
-        budget -= (lookups << 3) + dc
-    while k < _BLOCK:
-        if y & 1:
-            if budget < 2:
-                break
-            y = (3 * y + 1) >> 1
-            if track:
-                exc = _later(exc, _LOG2_3_FIX, c, k)
-            c += 1
-            budget -= 2
-        else:
-            if not budget:
-                break
-            y >>= 1
-            budget -= 1
-        k += 1
-    return c, k, y, exc
-
-
-def _peak_after(peak: int, a: int, width: int, exc: int) -> int | None:
-    """max(peak, the bit length of the 3x+1 at a move's largest excursion).
-
-    The move takes shortcut steps from x = 2**width * a + b, b < 2**width.
-    Its step j starts from x_j = 3**c_j * 2**(width - j) * a + T**j(b), so
-    an odd step makes 3*x_j + 1 = 2 * (3**c * 2**(width - j - 1) * a + T**(j+1)(b))
-    with c = c_(j+1).  Because T**(j+1)(b) < 2 * 3**c * 2**(width - j - 1)
-    and a >= 2**63, its log2 is log2(a) + width + c*log2(3) - j plus less
+    The jump takes k shortcut steps from x = 2**k * a + b, b < 2**k.
+    Its step j starts from x_j = 3**c_j * 2**(k - j) * a + T**j(b), so
+    an odd step makes 3*x_j + 1 = 2 * (3**c * 2**(k - j - 1) * a + T**(j+1)(b))
+    with c = c_(j+1).  Because T**(j+1)(b) < 2 * 3**c * 2**(k - j - 1)
+    and a >= 2**63, its log2 is log2(a) + k + c*log2(3) - j plus less
     than 2**-61, and the bit length is one more than the floor of that.
     The estimate below errs by less than 1e-13 from the float log2 of a's
     top 64 bits, plus c * 2**-_FIX from the fixed-point excursion, plus as
@@ -347,7 +302,7 @@ def _peak_after(peak: int, a: int, width: int, exc: int) -> int | None:
     either reading would raise the peak.
     """
     shift = a.bit_length() - 64
-    whole = shift + 63 + width + (exc >> _FIX)
+    whole = shift + 63 + k + (exc >> _FIX)
     frac = math.log2(a >> shift) - 63 + (exc & _FIX_MASK) / (1 << _FIX)
     near = round(frac)
     if abs(frac - near) > _NEAR_INTEGER:
@@ -372,7 +327,7 @@ def _walk(
 
     odd, even and peak carry the counters of the run so far and come back
     updated with the new current value.  With halt set, the walk stops on
-    reaching 1.  No move takes more than widest shortcut steps.  Raises
+    reaching 1.  No jump takes more than widest shortcut steps.  Raises
     CycleGuardExceeded, reporting start, as soon as odd + even passes guard.
     """
     remaining = budget
@@ -381,47 +336,39 @@ def _walk(
         # k shortcut steps cost at most 2k rule applications and leave
         # a = x >> k at least 64 bits wide.
         k = min(bits - 64, remaining, widest) >> 1 & -8
-        if k >= _JUMP_MIN:
-            width = k
+        if k > 0:
             c, power, y, exc = _jump(x & ((1 << k) - 1), k, peak - bits)
-        elif bits >= _BLOCK_MIN_BITS and remaining >= 2 and widest >= _BLOCK:
-            width = _BLOCK
-            c, k, y, exc = _block(x & _BLOCK_MASK, remaining, bits + _CLIMB * _BLOCK + 3 > peak)
-            power = _pow3(c)
-        else:
-            width = 0
-            if x & 1:
-                y = 3 * x + 1
-                b = y.bit_length()
-                if b > peak:
-                    peak = b
-                t = _trailing_zeros(y)
-                if t >= remaining:
-                    t = remaining - 1
-                x = y >> t
-                odd += 1
-                even += t
-                remaining -= t + 1
-            else:
-                t = _trailing_zeros(x)
-                if t > remaining:
-                    t = remaining
-                x >>= t
-                even += t
-                remaining -= t
-        if width:
-            a = x >> width
-            top = peak if exc is None else _peak_after(peak, a, width, exc)
+            a = x >> k
+            top = peak if exc is None else _peak_after(peak, a, k, exc)
             if top is None:
-                # Replaying the move's k + c rule applications with narrower
-                # moves settles the peak exactly; fused steps always do.
-                x, odd, even, peak = _walk(x, odd, even, peak, k + c, guard, start, halt, width - 1)
+                # Replaying the jump's k + c rule applications with narrower
+                # jumps settles the peak exactly; fused steps always do.
+                x, odd, even, peak = _walk(x, odd, even, peak, k + c, guard, start, halt, k - 1)
             else:
-                x = (power * a << (width - k)) + y
+                x = power * a + y
                 odd += c
                 even += k
                 peak = top
             remaining -= k + c
+        elif x & 1:
+            y = 3 * x + 1
+            b = y.bit_length()
+            if b > peak:
+                peak = b
+            t = _trailing_zeros(y)
+            if t >= remaining:
+                t = remaining - 1
+            x = y >> t
+            odd += 1
+            even += t
+            remaining -= t + 1
+        else:
+            t = _trailing_zeros(x)
+            if t > remaining:
+                t = remaining
+            x >>= t
+            even += t
+            remaining -= t
         if odd + even > guard:
             raise CycleGuardExceeded(start, guard)
     return x, odd, even, peak

@@ -8,6 +8,19 @@ ValueError to stay friendly to generic handling.
 from __future__ import annotations
 
 
+def int_text(value: int, noun: str) -> str:
+    """value in decimal, or from 64 bits on as "a {bits}-bit {noun} 0x...".
+
+    The hex digits are the value's leading 64 bits.  The decimal form of a
+    huge value is unreadable, and past 4300 digits refuses to render at all.
+    """
+    bits = value.bit_length()
+    if bits < 64:
+        return str(value)
+    sign = "-" if value < 0 else ""
+    return f"a {bits}-bit {noun} {sign}{abs(value) >> (bits - 64):#x}..."
+
+
 class CollatzPathError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -28,21 +41,16 @@ class CycleGuardExceeded(CollatzPathError, RuntimeError):
     spinning forever.  Hitting the guard means either an astronomically long
     path or a genuinely divergent orbit; the exception reports the start and
     the ceiling so the run can be retried with a higher limit.  Starts of
-    64 bits or more are named by bit length and leading hex digits, since
-    the decimal form of a huge start is unreadable and past 4300 digits
-    refuses to render at all.
+    64 bits or more are named by bit length and leading hex digits
+    (int_text).
     """
 
     def __init__(self, start: int, limit: int):
         self.start = start
         self.limit = limit
-        bits = start.bit_length()
-        if bits < 64:
-            named = str(start)
-        else:
-            named = f"a {bits}-bit start {start >> (bits - 64):#x}..."
         super().__init__(
-            f"step count exceeded the cycle guard ({limit}) iterating from {named}"
+            f"step count exceeded the cycle guard ({limit}) iterating from "
+            f"{int_text(start, 'start')}"
         )
 
 

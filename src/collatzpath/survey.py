@@ -20,6 +20,7 @@ ones from scratch takes minutes each and is strictly opt-in.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -249,11 +250,6 @@ def _prev_prime(n: int) -> int | None:
     return 2
 
 
-def _scan_worker(args: tuple[int, int]) -> tuple[int, int]:
-    n, guard = args
-    return n, path_length(mersenne_number(n), cycle_guard=guard).d
-
-
 def _scan_exponents(center: int, count_each_side: int, stride: int, primes_only: bool) -> list[int]:
     if primes_only:
         below: list[int] = []
@@ -280,6 +276,26 @@ def _scan_exponents(center: int, count_each_side: int, stride: int, primes_only:
     below = [center - j * stride for j in range(count_each_side, 0, -1)]
     above = [center + j * stride for j in range(1, count_each_side + 1)]
     return [n for n in below if n >= 2] + [center] + above
+
+
+def _mersenne_d(n: int, cycle_guard: int) -> int:
+    return path_length(mersenne_number(n), cycle_guard=cycle_guard).d
+
+
+def mersenne_path_lengths(exponents: Sequence[int], jobs: int, cycle_guard: int) -> Iterator[int]:
+    """Yield D(2**n - 1) for each n in exponents, in input order.
+
+    With jobs > 1 and more than one exponent the computations fan out
+    across a process pool of jobs workers.
+    """
+    guards = [cycle_guard] * len(exponents)
+    if jobs > 1 and len(exponents) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(_mersenne_d, exponents, guards)
+    else:
+        yield from map(_mersenne_d, exponents, guards)
 
 
 def scan_ratios(
@@ -317,15 +333,7 @@ def scan_ratios(
     if count_each_side == 0:
         return []
     exponents = _scan_exponents(center, count_each_side, stride, primes_only)
-    work = [(n, cycle_guard) for n in exponents]
-    if jobs > 1 and len(exponents) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            measured = list(pool.map(_scan_worker, work))
-    else:
-        measured = [_scan_worker(item) for item in work]
     return [
         ScanRecord(exponent=n, is_prime_index=is_prime(n), d=d, ratio=d / n)
-        for n, d in measured
+        for n, d in zip(exponents, mersenne_path_lengths(exponents, jobs, cycle_guard))
     ]

@@ -135,6 +135,14 @@ def test_verify_flags_a_mismatch(capsys, monkeypatch):
     assert row == ["1", "2", "999", "7", "false"]
 
 
+def test_verify_parallel_matches_serial(capsys):
+    parallel = run_cli(capsys, "verify", "--ranks", "1..14", "--jobs", "2")
+    serial = run_cli(capsys, "verify", "--ranks", "1..14", "--jobs", "1")
+    assert parallel == serial
+    code, out, _ = serial
+    assert code == 0 and len(rows(out)) == 15
+
+
 def test_scan_integer_window(capsys):
     code, out, _ = run_cli(
         capsys, "scan", "--center", "16", "--each-side", "1", "--stride", "1", "--jobs", "1"

@@ -55,35 +55,51 @@ def result_fields(result: PathResult) -> tuple[int, int, int, int]:
 
 BLOCK = engine_module._BLOCK
 
-# Starts whose bit lengths straddle the width where the kernel switches
-# between blocks and fused steps.  A run of low one bits makes the path
-# climb, which is where a block's steps set the peak.
-block_sized_starts = st.builds(
-    lambda x, ones: x | ((1 << ones) - 1),
-    st.integers(engine_module._BLOCK_MIN_BITS - 64, engine_module._BLOCK_MIN_BITS + 2 * BLOCK)
-    .flatmap(lambda n: st.integers(1 << (n - 1), (1 << n) - 1)),
-    st.sampled_from([0, 3, BLOCK // 2, BLOCK, 2 * BLOCK]),
-)
-# Budgets around one block's cost (BLOCK to 2 * BLOCK rule applications).
-block_budgets = st.integers(0, 3 * BLOCK)
+# The kernel jumps k = min(bits - 64, budget) // 2 shortcut steps, rounded
+# down to a multiple of 8, whenever k is positive, and takes fused steps
+# otherwise: starts of JUMP_MIN_BITS or more, with budgets of 16 or more,
+# jump.  A jump of more than BLOCK steps recurses, from RECURSIVE_MIN_BITS.
+JUMP_MIN_BITS = 64 + 16
+RECURSIVE_MIN_BITS = 64 + 2 * (BLOCK + 8)
 
-JUMP_MIN = engine_module._JUMP_MIN
+
+def starts_around(min_bits: int, max_bits: int, runs: list[int]):
+    # A run of low one bits makes the path climb, which is where a jump's
+    # steps set the peak.
+    return st.builds(
+        lambda x, ones: x | ((1 << ones) - 1),
+        st.integers(min_bits, max_bits).flatmap(lambda n: st.integers(1 << (n - 1), (1 << n) - 1)),
+        st.sampled_from(runs),
+    )
+
+
+# Starts whose bit lengths straddle the two widths where the kernel
+# switches between fused steps and jumps, and between a jump that is one
+# leaf and one that recurses.
+block_sized_starts = st.one_of(
+    starts_around(JUMP_MIN_BITS - 16, JUMP_MIN_BITS + 48, [0, 3, 16, 64]),
+    starts_around(RECURSIVE_MIN_BITS - BLOCK, RECURSIVE_MIN_BITS + BLOCK,
+                  [0, 3, BLOCK // 2, BLOCK, 2 * BLOCK]),
+)
+# Budgets around the least that jumps (16 rule applications), and around
+# the cost of one leaf (BLOCK to 2 * BLOCK) and the least that recurses.
+block_budgets = st.one_of(st.integers(0, 48), st.integers(0, 3 * BLOCK))
 
 
 def wide_starts(max_bits: int):
-    # From the narrowest start whose first move is a jump of JUMP_MIN steps,
-    # which recurses two levels down to its leaves.  A run of low one bits
-    # over a share of the width makes the path climb through the jumps.
+    # From the narrowest start whose first move is a recursive jump.  A run
+    # of low one bits over a share of the width makes the path climb
+    # through the jumps.
     return st.builds(
         lambda x, share: x | ((1 << int(share * x.bit_length())) - 1),
-        st.integers(2 * JUMP_MIN + 64, max_bits)
+        st.integers(RECURSIVE_MIN_BITS, max_bits)
         .flatmap(lambda n: st.integers(1 << (n - 1), (1 << n) - 1)),
         st.sampled_from([0, 0.25, 0.5, 1]),
     )
 
 
-# Budgets from a short block to jumps of several recursion levels.
-wide_budgets = st.integers(0, 8 * JUMP_MIN)
+# Budgets from a single leaf to jumps of several recursion levels.
+wide_budgets = st.integers(0, 32 * BLOCK)
 
 
 @pytest.mark.parametrize(
@@ -187,6 +203,23 @@ def test_mersenne_peak_covers_the_climb():
 def test_path_length_rejects(bad):
     with pytest.raises(DomainError):
         path_length(bad)
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (path_length, -(2**20000)),
+        (odd_step_accelerated, 2**20000),
+        (lambda x: advance(initial_state(3), x), -(10**5000)),
+    ],
+    ids=["path_length", "odd_step_accelerated", "advance"],
+)
+def test_domain_errors_name_huge_values_by_bit_length(call, bad):
+    # The decimal form of these values is past Python's 4300-digit limit,
+    # so the message must name them without str().
+    bits = bad.bit_length()
+    with pytest.raises(DomainError, match=f"got a {bits}-bit value -?0x"):
+        call(bad)
 
 
 def test_cycle_guard_boundary_is_exact():
@@ -389,11 +422,12 @@ def test_cycle_guard_boundary_on_a_block_sized_start():
 
 @pytest.mark.parametrize("above", [False, True])
 def test_block_peak_on_a_power_of_two_boundary(above):
-    # A block of low one bits climbs all the way, and its last 3x+1 is
+    # The first move is one jump of BLOCK steps, a single leaf, over low one
+    # bits; it climbs all the way, and its last 3x+1 is
     # 2 * (3**BLOCK * (a + 1) - 1).  With 3**BLOCK * a just above or just
     # below 2**top, the float estimate of that bit length lies within
     # rounding of an integer, so the kernel must settle it exactly.
-    top = 2 * BLOCK + 200
+    top = 3 * BLOCK + 200
     a = -(-(1 << top) // 3**BLOCK) if above else (1 << top) // 3**BLOCK - 1
     x = (a << BLOCK) | ((1 << BLOCK) - 1)
     assert state_fields(advance(initial_state(x), 2 * BLOCK)) == naive_partial(x, 2 * BLOCK)
@@ -401,10 +435,11 @@ def test_block_peak_on_a_power_of_two_boundary(above):
 
 
 def test_block_peak_against_a_carried_peak():
-    # A block that climbs all the way ends within a few bits of the bound
-    # that decides whether its steps are scanned, so a carried peak just
-    # below its highest 3x+1 must still be beaten.
-    x = (((1 << 300) + 12345) << BLOCK) | ((1 << BLOCK) - 1)
+    # The first move is one jump of BLOCK steps, a single leaf; climbing all
+    # the way, it ends within a few bits of the bound that decides whether
+    # the leaf tracks its excursion, so a carried peak just below its
+    # highest 3x+1 must still be beaten.
+    x = (((1 << (BLOCK + 300)) + 12345) << BLOCK) | ((1 << BLOCK) - 1)
     value, steps, odd, even, top = naive_partial(x, 2 * BLOCK)
     for carried in (top - 1, top, top + 1):
         state = IterationState(current=x, peak_bit_length=carried)
@@ -453,12 +488,12 @@ def test_fixed_point_log2_3_is_the_floor():
 
 @pytest.mark.parametrize("above", [False, True])
 def test_jump_peak_on_a_power_of_two_boundary(above):
-    # The first move is one jump of JUMP_MIN steps over low one bits, and
-    # its last 3x+1 is 2 * (3**k * (a + 1) - 1).  With 3**k * (a + 1) just
+    # The first move is one recursive jump of k steps over low one bits,
+    # and its last 3x+1 is 2 * (3**k * (a + 1) - 1).  With 3**k * (a + 1) just
     # above or just below 2**top, the estimate of that bit length lies
     # within rounding of an integer, so the kernel must replay the jump
-    # with narrower moves, down to fused steps for the deciding block.
-    k = JUMP_MIN
+    # with narrower jumps, halving down to fused steps.
+    k = 4 * BLOCK
     top = 3 * k + 200
     a = -(-(1 << top) // 3**k) - 1 if above else (1 << top) // 3**k - 1
     x = (a << k) | ((1 << k) - 1)
@@ -471,7 +506,7 @@ def test_jump_peak_against_a_carried_peak():
     # within a few bits of the bound that decides whether a leaf tracks its
     # excursion; a carried peak just below its highest 3x+1 must still be
     # beaten.
-    k = JUMP_MIN
+    k = 4 * BLOCK
     x = (((1 << (k + 300)) + 12345) << k) | ((1 << k) - 1)
     value, steps, odd, even, top = naive_partial(x, 2 * k)
     for carried in (top - 1, top, top + 1):
