@@ -2,9 +2,10 @@
 
 Each row carries the measured Collatz path length D(2**n - 1) and the
 rounded ratio D/n as published alongside the exponent list this package
-reproduces.  Rows up to rank 31 are recomputed directly by the test suite,
-in about two seconds together; the larger ones take from seconds (rank 32)
-to hours each and stand as reference data.
+reproduces.  The default test tier recomputes ranks 1..31, in about two
+seconds together, and -m long adds ranks 32..35 (about 15 s).  Ranks
+36..47 take from a quarter of a minute to a quarter of an hour each and
+stand as unverified reference data.
 
 Also houses the primality utilities the survey sets are built from: a
 deterministic Miller-Rabin below 2**64 and the Lucas-Lehmer test for
@@ -13,15 +14,9 @@ Mersenne numbers themselves.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
-from .errors import DomainError, RangeError
-
-try:
-    import gmpy2 as _gmpy2
-except ImportError:  # pragma: no cover
-    _gmpy2 = None
+from .errors import DomainError, RangeError, checked_int, int_text
 
 CATALOG_SIZE = 47
 
@@ -97,26 +92,17 @@ class CatalogEntry:
 _ENTRIES = tuple(CatalogEntry(*row) for row in _ROWS)
 
 
-def _as_int(value: object, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {type(value).__name__}") from None
-
-
 def mersenne_number(n: int) -> int:
     """2**n - 1; the result has bit length exactly n."""
-    n = _as_int(n, "n")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = checked_int(n, "n", 1)
     return (1 << n) - 1
 
 
 def catalog_entry(k: int) -> CatalogEntry:
     """The fixture row at rank k, 1-based."""
-    k = _as_int(k, "k")
+    k = checked_int(k, "k")
     if not 1 <= k <= CATALOG_SIZE:
-        raise RangeError(f"rank must be in [1, {CATALOG_SIZE}], got {k}")
+        raise RangeError(f"rank must be in [1, {CATALOG_SIZE}], got {int_text(k, 'value')}")
     return _ENTRIES[k - 1]
 
 
@@ -139,9 +125,7 @@ def is_prime(n: int) -> bool:
     raise RangeError rather than silently degrading to a probable-prime
     answer.
     """
-    n = _as_int(n, "n")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    n = checked_int(n, "n", 0)
     if n >= _U64_LIMIT:
         raise RangeError("is_prime is only deterministic below 2**64")
     if n < 2:
@@ -169,9 +153,7 @@ def is_prime(n: int) -> bool:
 
 def next_prime(n: int) -> int:
     """Smallest prime strictly greater than n."""
-    n = _as_int(n, "n")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = checked_int(n, "n", 1)
     candidate = n + 1
     if candidate <= 2:
         return 2
@@ -191,17 +173,11 @@ def lucas_lehmer(p: int) -> bool:
     value is 0.  Reduction never divides: (s & m) + (s >> p) folds the high
     half back in, using 2**p = 1 (mod m).
     """
-    p = _as_int(p, "p")
-    if not p & 1:
-        raise DomainError(f"p must be an odd prime, got {p}")
-    if not is_prime(p):
-        raise DomainError(f"p must be an odd prime, got {p}")
+    p = checked_int(p, "p")
+    if not p & 1 or not is_prime(p):
+        raise DomainError(f"p must be an odd prime, got {int_text(p, 'value')}")
     m = (1 << p) - 1
-    if _gmpy2 is not None:
-        m = _gmpy2.mpz(m)
-        s = _gmpy2.mpz(4)
-    else:
-        s = 4
+    s = 4
     for _ in range(p - 2):
         s = s * s - 2
         if s < 0:

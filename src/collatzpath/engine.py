@@ -54,11 +54,10 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import CycleGuardExceeded, DomainError, int_text
+from .errors import CycleGuardExceeded, DomainError, checked_int, int_text
 
 if TYPE_CHECKING:
     from .expressions import NumberExpression
@@ -118,21 +117,6 @@ def _pow3(c: int) -> int:
     return 3**c
 
 
-def _as_natural(value: object, minimum: int, name: str) -> int:
-    """Coerce an integer-like to int and enforce a lower bound."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {type(value).__name__}") from None
-    if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {int_text(value, 'value')}")
-    return value
-
-
-def _as_guard(cycle_guard: object) -> int:
-    return _as_natural(cycle_guard, 1, "cycle_guard")
-
-
 def _trailing_zeros(y: int) -> int:
     # 2-adic valuation of a positive even-or-odd integer (0 when odd).
     return (y & -y).bit_length() - 1
@@ -177,7 +161,7 @@ class IterationState:
     origin: NumberExpression | None = None
 
     def __post_init__(self) -> None:
-        current = _as_natural(self.current, 1, "current")
+        current = checked_int(self.current, "current", 1)
         object.__setattr__(self, "current", current)
         if self.steps != self.odd_steps + self.even_steps:
             raise DomainError("steps must equal odd_steps + even_steps")
@@ -193,7 +177,7 @@ class IterationState:
 
 def initial_state(x: Natural, origin: NumberExpression | None = None) -> IterationState:
     """Fresh state at x with zeroed counters."""
-    x = _as_natural(x, 1, "x")
+    x = checked_int(x, "x", 1)
     return IterationState(
         current=x,
         steps=0,
@@ -209,7 +193,7 @@ def collatz_next(x: Natural) -> Natural:
 
     There is no halting special case; 1 maps to 4.
     """
-    x = _as_natural(x, 1, "x")
+    x = checked_int(x, "x", 1)
     if x & 1:
         return 3 * x + 1
     return x >> 1
@@ -222,7 +206,7 @@ def odd_step_accelerated(x: Natural) -> tuple[Natural, int]:
     trailing zero bits of y.  Equivalent to 1 + t applications of
     collatz_next; the returned value is odd (possibly 1).
     """
-    x = _as_natural(x, 1, "x")
+    x = checked_int(x, "x", 1)
     if not x & 1:
         raise DomainError(f"x must be odd, got {int_text(x, 'value')}")
     y = 3 * x + 1
@@ -380,8 +364,8 @@ def path_length(x: Natural, *, cycle_guard: int = DEFAULT_CYCLE_GUARD) -> PathRe
     Raises DomainError for x < 1 and CycleGuardExceeded if the running step
     count passes cycle_guard before 1 is reached.
     """
-    x = _as_natural(x, 1, "x")
-    guard = _as_guard(cycle_guard)
+    x = checked_int(x, "x", 1)
+    guard = checked_int(cycle_guard, "cycle_guard", 1)
     # A walk that has not halted after guard + 1 steps has tripped the guard.
     _, odd, even, peak = _walk(x, 0, 0, x.bit_length(), guard + 1, guard, x, True)
     return PathResult(d=odd + even, odd_steps=odd, even_steps=even, peak_bit_length=peak)
@@ -402,8 +386,8 @@ def advance(
     power of two the fused step consumes exactly the halvings needed to
     land on 1 and stops there.
     """
-    max_steps = _as_natural(max_steps, 0, "max_steps")
-    guard = _as_guard(cycle_guard)
+    max_steps = checked_int(max_steps, "max_steps", 0)
+    guard = checked_int(cycle_guard, "cycle_guard", 1)
     return _advanced(state, max_steps, guard, True)
 
 
@@ -419,8 +403,8 @@ def raw_advance(
     needed to follow a path through 1 or to step an algebraic identity a
     fixed number of times.
     """
-    exact_steps = _as_natural(exact_steps, 0, "exact_steps")
-    guard = _as_guard(cycle_guard)
+    exact_steps = checked_int(exact_steps, "exact_steps", 0)
+    guard = checked_int(cycle_guard, "cycle_guard", 1)
     return _advanced(state, exact_steps, guard, False)
 
 
@@ -451,10 +435,10 @@ def trace(
     D(x) + 1 when untruncated.  This materializes every value, so it steps
     one rule at a time; use path_length when only counts are needed.
     """
-    x = _as_natural(x, 1, "x")
-    guard = _as_guard(cycle_guard)
+    x = checked_int(x, "x", 1)
+    guard = checked_int(cycle_guard, "cycle_guard", 1)
     if max_entries is not None:
-        max_entries = _as_natural(max_entries, 0, "max_entries")
+        max_entries = checked_int(max_entries, "max_entries", 0)
         if max_entries == 0:
             return []
     visited = [x]

@@ -1,11 +1,19 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer check.
 
 Everything raised on purpose derives from CollatzPathError so callers can
 catch one type at the boundary.  Domain/range violations also subclass
 ValueError to stay friendly to generic handling.
+
+Every public function takes its integer arguments through checked_int, so
+a non-integer or a value below the bound is a DomainError, never a bare
+TypeError.  Messages name integers of 64 bits or more by bit length and
+leading hex digits (int_text): the paper's values run to 43 million bits,
+far past the 4300 digits at which str() refuses an int.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 def int_text(value: int, noun: str) -> str:
@@ -19,6 +27,20 @@ def int_text(value: int, noun: str) -> str:
         return str(value)
     sign = "-" if value < 0 else ""
     return f"a {bits}-bit {noun} {sign}{abs(value) >> (bits - 64):#x}..."
+
+
+def checked_int(value: object, name: str, minimum: int | None = None) -> int:
+    """value as an int by operator.index, at least minimum when one is given.
+
+    Raises DomainError when value is not an integer or lies below minimum.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {type(value).__name__}") from None
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {int_text(value, 'value')}")
+    return value
 
 
 class CollatzPathError(Exception):

@@ -14,12 +14,11 @@ offset of the first offending character and what was expected there.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .catalog import catalog_entry, mersenne_number
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, checked_int
 
 
 # Python refuses str(int) and int(str) past a digit limit (4300 by default,
@@ -67,9 +66,7 @@ class NumberExpression:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, ExpressionKind):
             raise DomainError(f"kind must be an ExpressionKind, got {self.kind!r}")
-        object.__setattr__(self, "parameter", operator.index(self.parameter))
-        if self.parameter < 0:
-            raise DomainError(f"parameter must be >= 0, got {self.parameter}")
+        object.__setattr__(self, "parameter", checked_int(self.parameter, "parameter", 0))
         if not self.source_text:
             object.__setattr__(self, "source_text", self.canonical())
 

@@ -17,11 +17,10 @@ which the catalog ratios track to within half a percent from rank 13 up.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 from .engine import initial_state, raw_advance
-from .errors import DegenerateFitError, DomainError
+from .errors import DegenerateFitError, DomainError, checked_int
 
 #: Expected rule applications per unit of ln N for a random start.
 C0 = 3.0 / math.log(4.0 / 3.0)
@@ -64,10 +63,7 @@ def heuristic_path_length(ln_n: float) -> float:
 
 def mersenne_heuristic(n: int) -> float:
     """Estimated D(2**n - 1) = (2 + c0 ln 3) * n."""
-    n = operator.index(n)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return MERSENNE_SLOPE * n
+    return MERSENNE_SLOPE * checked_int(n, "n", 1)
 
 
 def verify_transit_lemma(n: int) -> bool:
@@ -77,9 +73,7 @@ def verify_transit_lemma(n: int) -> bool:
     value is 3 * 2**(n-1) - 1 (for n >= 2).  Uses the non-halting stepper,
     since for n = 1 the path runs through 1 itself.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = checked_int(n, "n", 1)
     state = initial_state((1 << n) - 1)
     after_two = raw_advance(state, 2)
     if n >= 2 and after_two.current != 3 * (1 << (n - 1)) - 1:
@@ -89,11 +83,10 @@ def verify_transit_lemma(n: int) -> bool:
 
 
 def _double_log2_mersenne(n: int) -> float:
-    # log2(log2(2**n - 1)) computed as log2(n + log2(1 - 2**-n)); the inner
-    # correction underflows to 0 for n beyond a few hundred, never matters
-    # above double precision for n >= 53, and is exact where it does matter.
-    if n < 2:
-        raise DomainError(f"exponent must be >= 2 for a finite double log, got {n}")
+    # log2(log2(2**n - 1)) computed as log2(n + log2(1 - 2**-n)), finite
+    # for n >= 2; the inner correction underflows to 0 for n beyond a few
+    # hundred, never matters above double precision for n >= 53, and is
+    # exact where it does matter.
     return math.log2(n + math.log2(1.0 - 2.0**-n))
 
 
@@ -106,8 +99,8 @@ def fit_loglog(entries: list[tuple[int, int]]) -> FitResult:
     """
     points = []
     for rank, exponent in entries:
-        rank = operator.index(rank)
-        exponent = operator.index(exponent)
+        rank = checked_int(rank, "rank", 1)
+        exponent = checked_int(exponent, "exponent", 2)
         points.append((float(rank), _double_log2_mersenne(exponent)))
     if len(points) < 2:
         raise DegenerateFitError(f"need at least 2 points, got {len(points)}")

@@ -1,0 +1,85 @@
+"""The one integer check every public entry point takes its arguments through."""
+
+import pytest
+
+from collatzpath import (
+    CollatzPathError,
+    DomainError,
+    ExpressionKind,
+    FitResult,
+    IndexSet,
+    IterationState,
+    NumberExpression,
+    Provenance,
+    SetLabel,
+    advance,
+    catalog_entry,
+    collatz_next,
+    fit_line_indices,
+    fit_loglog,
+    generate_set_B,
+    initial_state,
+    is_prime,
+    lucas_lehmer,
+    mersenne_heuristic,
+    mersenne_number,
+    mersenne_set,
+    next_prime,
+    odd_step_accelerated,
+    path_length,
+    ratio_stats,
+    raw_advance,
+    scan_ratios,
+    trace,
+    verify_transit_lemma,
+)
+from collatzpath.errors import checked_int
+
+# Past Python's 4300-digit str() limit, so only int_text can name it.
+HUGE = -(2**20000)
+
+ENTRY_POINTS = {
+    "path_length": path_length,
+    "path_length.cycle_guard": lambda v: path_length(27, cycle_guard=v),
+    "advance": lambda v: advance(initial_state(27), v),
+    "raw_advance": lambda v: raw_advance(initial_state(27), v),
+    "trace": trace,
+    "trace.max_entries": lambda v: trace(27, v),
+    "initial_state": initial_state,
+    "collatz_next": collatz_next,
+    "odd_step_accelerated": odd_step_accelerated,
+    "IterationState": lambda v: IterationState(current=v),
+    "mersenne_number": mersenne_number,
+    "is_prime": is_prime,
+    "next_prime": next_prime,
+    "catalog_entry": catalog_entry,
+    "lucas_lehmer": lucas_lehmer,
+    "mersenne_heuristic": mersenne_heuristic,
+    "verify_transit_lemma": verify_transit_lemma,
+    "fit_loglog": lambda v: fit_loglog([(1, 5), (2, v)]),
+    "IndexSet": lambda v: IndexSet(SetLabel.A, (v,), Provenance.GENERATED),
+    "mersenne_set": lambda v: mersenne_set(v, 3),
+    "generate_set_B": lambda v: generate_set_B(1, v),
+    "fit_line_indices": lambda v: fit_line_indices(FitResult(0.9, 0.55, 0.0), (v,)),
+    "ratio_stats": lambda v: ratio_stats([(v, 5), (2, 4)]),
+    "scan_ratios": scan_ratios,
+    "NumberExpression": lambda v: NumberExpression(ExpressionKind.DECIMAL, v),
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_bad_integers_raise_package_errors(call):
+    with pytest.raises(CollatzPathError):
+        call(1.5)
+    with pytest.raises(CollatzPathError, match="20001-bit"):
+        call(HUGE)
+
+
+def test_checked_int_messages():
+    assert checked_int(-5, "n") == -5
+    with pytest.raises(DomainError, match="^n must be an integer, got float$"):
+        checked_int(1.0, "n")
+    with pytest.raises(DomainError, match="^n must be >= 1, got -5$"):
+        checked_int(-5, "n", 1)
+    with pytest.raises(DomainError, match=r"^n must be >= 1, got a 20001-bit value -0x8000"):
+        checked_int(HUGE, "n", 1)

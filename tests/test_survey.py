@@ -23,7 +23,9 @@ from collatzpath import (
     fixture_set_D,
     generate_set_A,
     generate_set_B,
+    mersenne_number,
     mersenne_set,
+    path_length,
     ratio_stats,
     reference_pairs,
     scan_ratios,
@@ -195,6 +197,27 @@ def test_reference_pairs_reproduce_published_statistics(label):
     mean, variance = PUBLISHED_STATS[label]
     assert abs(stats.mean - mean) < 5e-5
     assert abs(stats.sample_variance - variance) < 5e-8
+
+
+
+# Rows below 150,000 recompute in about a second together; those up to
+# 1,500,000 take about half a minute, so they run under -m long.  The
+# 14 rows above that stand as reference data.
+@pytest.mark.parametrize(
+    "low, high",
+    [(1, 149_999), pytest.param(150_000, 1_500_000, marks=pytest.mark.long)],
+    ids=["below-150k", "150k-1500k"],
+)
+def test_reference_rows_recompute(low, high):
+    rows = [
+        (label, n, d)
+        for label in (SetLabel.A, SetLabel.B, SetLabel.C, SetLabel.D)
+        for n, d in reference_pairs(label)
+        if low <= n <= high
+    ]
+    assert len(rows) == 19
+    for label, n, d in rows:
+        assert path_length(mersenne_number(n)).d == d, (label.value, n)
 
 
 def test_scan_integer_window():
