@@ -14,10 +14,12 @@ A checkpoint is a small line-oriented text file:
 
 The crc32 line holds the CRC-32 (the everyday reflected polynomial
 0x04C11DB7 with 0xFFFFFFFF init and final xor, i.e. binascii.crc32) of
-every byte above it, newlines included.  Field order is fixed; a valid
-file re-serializes byte-identically, and the origin is stored exactly as
-the user wrote it.  Writes go to a temporary sibling and are renamed into
-place, so a reader never observes a partial file.
+every byte above it, newlines included.  The writer alone defines the
+format: the reader rebuilds the state from the fields and accepts the
+file only when writing that state again gives back its exact bytes, so
+every file read re-serializes byte-identically.  The origin is stored
+exactly as the user wrote it.  Writes go to a temporary sibling and are
+renamed into place, so a reader never observes a partial file.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .errors import (
     ChecksumMismatch,
     DomainError,
     MalformedField,
-    ParseError,
     VersionUnsupported,
 )
 from .expressions import NumberExpression, parse_expression
@@ -39,83 +40,46 @@ from .expressions import NumberExpression, parse_expression
 CHECKPOINT_VERSION = 1
 
 _MAGIC_PREFIX = "CKMP "
-_FIELD_ORDER = ("origin", "steps", "odd_steps", "even_steps", "peak_bit_length", "current")
 
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Parsed checkpoint contents; a faithful image of one file."""
+    """The engine state one checkpoint file froze; it carries an origin."""
 
-    format_version: int
-    origin: NumberExpression
-    steps: int
-    odd_steps: int
-    even_steps: int
-    peak_bit_length: int
-    current_value_hex: str
-    payload_crc32: int
+    state: IterationState
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.state.origin, NumberExpression):
+            raise DomainError("checkpointing requires a state with an origin expression")
 
     def to_state(self) -> IterationState:
         """Rebuild the engine state this checkpoint froze."""
-        return IterationState(
-            current=int(self.current_value_hex, 16),
-            steps=self.steps,
-            odd_steps=self.odd_steps,
-            even_steps=self.even_steps,
-            peak_bit_length=self.peak_bit_length,
-            origin=self.origin,
-        )
+        return self.state
 
 
-def _payload_bytes(origin_text: str, steps: int, odd: int, even: int, peak: int, hex_value: str) -> bytes:
+def _payload(state: IterationState) -> bytes:
+    """Every line of the file above the crc32 line."""
     lines = (
         f"{_MAGIC_PREFIX}{CHECKPOINT_VERSION}",
-        f"origin={origin_text}",
-        f"steps={steps}",
-        f"odd_steps={odd}",
-        f"even_steps={even}",
-        f"peak_bit_length={peak}",
-        f"current={hex_value}",
+        f"origin={state.origin.source_text}",
+        f"steps={state.steps}",
+        f"odd_steps={state.odd_steps}",
+        f"even_steps={state.even_steps}",
+        f"peak_bit_length={state.peak_bit_length}",
+        f"current={state.current:x}",
     )
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def checkpoint_from_state(state: IterationState) -> Checkpoint:
     """Freeze an engine state.  The state must carry an origin expression."""
-    if not isinstance(state.origin, NumberExpression):
-        raise DomainError("checkpointing requires a state with an origin expression")
-    hex_value = format(state.current, "x")
-    payload = _payload_bytes(
-        state.origin.source_text,
-        state.steps,
-        state.odd_steps,
-        state.even_steps,
-        state.peak_bit_length,
-        hex_value,
-    )
-    return Checkpoint(
-        format_version=CHECKPOINT_VERSION,
-        origin=state.origin,
-        steps=state.steps,
-        odd_steps=state.odd_steps,
-        even_steps=state.even_steps,
-        peak_bit_length=state.peak_bit_length,
-        current_value_hex=hex_value,
-        payload_crc32=binascii.crc32(payload),
-    )
+    return Checkpoint(state)
 
 
 def serialize_checkpoint(cp: Checkpoint) -> bytes:
     """Canonical file image for a checkpoint."""
-    payload = _payload_bytes(
-        cp.origin.source_text,
-        cp.steps,
-        cp.odd_steps,
-        cp.even_steps,
-        cp.peak_bit_length,
-        cp.current_value_hex,
-    )
-    return payload + f"crc32={cp.payload_crc32:08x}\nEND\n".encode("ascii")
+    payload = _payload(cp.state)
+    return payload + f"crc32={binascii.crc32(payload):08x}\nEND\n".encode("ascii")
 
 
 def checkpoint_write(path: str | os.PathLike, state: IterationState) -> Checkpoint:
@@ -141,19 +105,14 @@ def checkpoint_write(path: str | os.PathLike, state: IterationState) -> Checkpoi
     return cp
 
 
-def _parse_count(key: str, value: str) -> int:
-    if not value or not all("0" <= c <= "9" for c in value):
-        raise MalformedField(f"field {key!r} must be a decimal count, got {value!r}")
-    return int(value)
-
-
 def checkpoint_read(path: str | os.PathLike) -> Checkpoint:
     """Load and validate a checkpoint file.
 
     Raises VersionUnsupported for a foreign format version,
     ChecksumMismatch when the payload fails its CRC, and MalformedField
-    for structural damage.  A returned checkpoint is always resumable and
-    re-serializes to the exact bytes on disk.
+    for structural damage or any payload other than the one the writer
+    produces for the state it names.  A returned checkpoint is always
+    resumable and re-serializes to the exact bytes on disk.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -183,41 +142,22 @@ def checkpoint_read(path: str | os.PathLike) -> Checkpoint:
         raise ChecksumMismatch(
             f"payload CRC {actual_crc:08x} does not match recorded {recorded_crc:08x}"
         )
-    fields: dict[str, str] = {}
-    for raw, expected_key in zip(lines[1:7], _FIELD_ORDER):
-        try:
-            line = raw.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise MalformedField(f"undecodable field line: {exc}") from None
-        key, sep, value = line.partition("=")
-        if not sep or key != expected_key:
-            raise MalformedField(f"expected field {expected_key!r}, got line {line!r}")
-        fields[key] = value
+    # ValueError covers UnicodeDecodeError, ParseError and DomainError.  Keys,
+    # order and spelling of the fields are checked by re-encoding below.
     try:
-        origin = parse_expression(fields["origin"])
-    except ParseError as exc:
-        raise MalformedField(f"origin does not parse: {exc}") from None
-    steps = _parse_count("steps", fields["steps"])
-    odd = _parse_count("odd_steps", fields["odd_steps"])
-    even = _parse_count("even_steps", fields["even_steps"])
-    peak = _parse_count("peak_bit_length", fields["peak_bit_length"])
-    hex_value = fields["current"]
-    if not hex_value or not all(c in "0123456789abcdef" for c in hex_value):
-        raise MalformedField(f"current must be lowercase hex, got {hex_value!r}")
-    if steps != odd + even:
-        raise MalformedField("steps does not equal odd_steps + even_steps")
-    current = int(hex_value, 16)
-    if current < 1:
-        raise MalformedField("current must be >= 1")
-    if peak < current.bit_length():
-        raise MalformedField("peak_bit_length is below the current value's bit length")
-    return Checkpoint(
-        format_version=CHECKPOINT_VERSION,
-        origin=origin,
-        steps=steps,
-        odd_steps=odd,
-        even_steps=even,
-        peak_bit_length=peak,
-        current_value_hex=hex_value,
-        payload_crc32=recorded_crc,
-    )
+        origin, steps, odd, even, peak, current = (
+            raw.decode("ascii").partition("=")[2] for raw in lines[1:7]
+        )
+        state = IterationState(
+            current=int(current, 16),
+            steps=int(steps),
+            odd_steps=int(odd),
+            even_steps=int(even),
+            peak_bit_length=int(peak),
+            origin=parse_expression(origin),
+        )
+    except ValueError as exc:
+        raise MalformedField(f"checkpoint fields do not form a state: {exc}") from None
+    if _payload(state) != payload:
+        raise MalformedField("checkpoint fields are not in the form the writer produces")
+    return Checkpoint(state)

@@ -107,13 +107,12 @@ def _run_checkpointed(
     expr: NumberExpression, path: str, interval: int, guard: int
 ) -> PathResult:
     if os.path.exists(path):
-        cp = checkpoint_read(path)
-        if cp.origin != expr:
+        state = checkpoint_read(path).to_state()
+        if state.origin != expr:
             raise OriginMismatch(
-                f"checkpoint is for {cp.origin.source_text!r}, "
+                f"checkpoint is for {state.origin.source_text!r}, "
                 f"refusing to resume {expr.source_text!r}"
             )
-        state = cp.to_state()
     else:
         state = initial_state(expr.resolve(), origin=expr)
     while not state.halted:
@@ -199,23 +198,19 @@ def _cmd_scan(args: argparse.Namespace, out: TextIO) -> int:
 
 def _stats_index_set(args: argparse.Namespace):
     label = SetLabel(args.set_label)
-    has_range = args.from_rank is not None or args.to_rank is not None
+    # Only the bounds the user gave; each set's own defaults fill in the rest.
+    given = {"from_rank": args.from_rank, "to_rank": args.to_rank}
+    bounds = {name: rank for name, rank in given.items() if rank is not None}
     if label in (SetLabel.C, SetLabel.D):
-        if has_range:
+        if bounds:
             raise _UsageError(f"set {label.value} is a fixture; it takes no rank range")
         return label, (fixture_set_C() if label is SetLabel.C else fixture_set_D())
-    defaults = {SetLabel.MERSENNE: (26, 38), SetLabel.A: (26, 38), SetLabel.B: (25, 38)}
-    low, high = defaults[label]
-    if args.from_rank is not None:
-        low = args.from_rank
-    if args.to_rank is not None:
-        high = args.to_rank
     try:
         if label is SetLabel.MERSENNE:
-            return label, mersenne_set(low, high)
+            return label, mersenne_set(**bounds)
         if label is SetLabel.A:
-            return label, generate_set_A(mersenne_set(low, high))
-        return label, generate_set_B(low, high)
+            return label, generate_set_A(mersenne_set(**bounds))
+        return label, generate_set_B(**bounds)
     except RangeError as exc:
         raise _UsageError(str(exc)) from None
 

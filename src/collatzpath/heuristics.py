@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .engine import initial_state, raw_advance
-from .errors import DegenerateFitError, DomainError, checked_int
+from .errors import DegenerateFitError, DomainError, RangeError, checked_int, int_text
 
 #: Expected rule applications per unit of ln N for a random start.
 C0 = 3.0 / math.log(4.0 / 3.0)
@@ -54,8 +54,15 @@ def heuristic_path_length(ln_n: float) -> float:
 
     The caller supplies the natural log of N so that huge values never need
     materializing; bit_length(N) * ln 2 is a fine summary for big N.
+    Raises DomainError for a non-number and RangeError for an int too
+    large to be a float.
     """
-    ln_n = float(ln_n)
+    try:
+        ln_n = float(ln_n)
+    except OverflowError:
+        raise RangeError(f"ln_n must fit a float, got {int_text(int(ln_n), 'value')}") from None
+    except (TypeError, ValueError):
+        raise DomainError(f"ln_n must be a number, got {type(ln_n).__name__}") from None
     if not ln_n >= 0.0:
         raise DomainError(f"ln_n must be >= 0, got {ln_n}")
     return C0 * ln_n
@@ -95,13 +102,20 @@ def fit_loglog(entries: list[tuple[int, int]]) -> FitResult:
 
     entries is a list of (rank, exponent) pairs; the fit over the full
     47-row catalog gives intercept 0.92757 and slope 0.55715 to five
-    figures.  Invariant under permutation of the entries.
+    figures.  Invariant under permutation of the entries.  A rank or
+    exponent too large to be a float raises RangeError.
     """
     points = []
     for rank, exponent in entries:
         rank = checked_int(rank, "rank", 1)
         exponent = checked_int(exponent, "exponent", 2)
-        points.append((float(rank), _double_log2_mersenne(exponent)))
+        try:
+            points.append((float(rank), _double_log2_mersenne(exponent)))
+        except OverflowError:
+            raise RangeError(
+                "rank and exponent must fit a float, got "
+                f"({int_text(rank, 'value')}, {int_text(exponent, 'value')})"
+            ) from None
     if len(points) < 2:
         raise DegenerateFitError(f"need at least 2 points, got {len(points)}")
     k_mean = math.fsum(k for k, _ in points) / len(points)

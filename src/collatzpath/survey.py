@@ -25,7 +25,14 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .catalog import CATALOG_SIZE, catalog_entry, is_prime, mersenne_number, next_prime
+from .catalog import (
+    CATALOG_SIZE,
+    catalog_entries,
+    catalog_entry,
+    is_prime,
+    mersenne_number,
+    next_prime,
+)
 from .engine import DEFAULT_CYCLE_GUARD, path_length
 from .errors import DegenerateStatsError, DomainError, RangeError, checked_int, int_text
 from .heuristics import FitResult
@@ -160,12 +167,19 @@ def fit_line_indices(fit: FitResult, ranks: tuple[int, ...] = SET_D_FIT_RANKS) -
 
     With the full-catalog fit and the default ranks this reproduces the
     fixture row exactly; it is still documented as an approximation of a
-    hand-made selection, not as the selection rule itself.
+    hand-made selection, not as the selection rule itself.  A rank whose
+    index would overflow a float raises RangeError.
     """
-    indices = tuple(
-        round(2.0 ** (fit.intercept + fit.slope * checked_int(k, "rank", 1))) for k in ranks
-    )
-    return IndexSet(label=SetLabel.D, indices=indices, provenance=Provenance.GENERATED)
+    indices = []
+    for k in ranks:
+        k = checked_int(k, "rank", 1)
+        try:
+            indices.append(round(2.0 ** (fit.intercept + fit.slope * k)))
+        except OverflowError:
+            raise RangeError(
+                f"rank must keep the index within float range, got {int_text(k, 'value')}"
+            ) from None
+    return IndexSet(label=SetLabel.D, indices=tuple(indices), provenance=Provenance.GENERATED)
 
 
 def ratio_stats(pairs: list[tuple[int, int]]) -> RatioStats:
@@ -225,14 +239,18 @@ _REFERENCE_D = {
 def reference_pairs(label: SetLabel) -> tuple[tuple[int, int], ...]:
     """(n, D) reference pairs for a default 13-element row.
 
-    The mersenne row is assembled from catalog ranks 26..38; the other
-    rows carry their own embedded measurements.
+    The mersenne row pairs the exponents of mersenne_set()'s default ranks
+    with their catalog D; the other rows carry their own embedded
+    measurements.  An unknown label raises DomainError.
     """
-    label = SetLabel(label)
+    try:
+        label = SetLabel(label)
+    except ValueError:
+        valid = ", ".join(repr(member.value) for member in SetLabel)
+        raise DomainError(f"label must be one of {valid}, got {label!r}") from None
     if label is SetLabel.MERSENNE:
-        return tuple(
-            (catalog_entry(k).exponent, catalog_entry(k).reference_d) for k in range(26, 39)
-        )
+        known = {e.exponent: e.reference_d for e in catalog_entries()}
+        return tuple((n, known[n]) for n in mersenne_set().indices)
     return _REFERENCE_D[label]
 
 

@@ -3,6 +3,7 @@
 import binascii
 
 import pytest
+from hypothesis import given, strategies as st
 
 from collatzpath import (
     Checkpoint,
@@ -77,8 +78,8 @@ def test_origin_spelling_is_preserved_verbatim(tmp_path):
     data = path.read_bytes()
     assert b"\norigin=2^89-1\n" in data
     cp = checkpoint_read(path)
-    assert cp.origin == parse_expression("M89")
-    assert cp.origin.source_text == "2^89-1"
+    assert cp.to_state().origin == parse_expression("M89")
+    assert cp.to_state().origin.source_text == "2^89-1"
     assert serialize_checkpoint(cp) == data
 
 
@@ -152,6 +153,18 @@ def test_non_decimal_count_is_malformed(valid_file):
     path, _ = valid_file
     lines = payload_lines(path)
     lines[1] = b"steps=12x3"
+    path.write_bytes(rebuild(lines))
+    with pytest.raises(MalformedField):
+        checkpoint_read(path)
+
+
+@pytest.mark.parametrize("key", [b"steps", b"peak_bit_length", b"current"])
+def test_leading_zeros_are_malformed(valid_file, key):
+    # int() reads "01000" as 1000, but the writer never produces that file.
+    path, _ = valid_file
+    lines = payload_lines(path)
+    at = [line.split(b"=")[0] for line in lines].index(key)
+    lines[at] = lines[at].replace(b"=", b"=0", 1)
     path.write_bytes(rebuild(lines))
     with pytest.raises(MalformedField):
         checkpoint_read(path)
@@ -233,4 +246,47 @@ def test_halted_state_round_trips(tmp_path):
     checkpoint_write(path, final)
     cp = checkpoint_read(path)
     assert cp.to_state() == final
-    assert cp.current_value_hex == "1"
+    assert cp.to_state().current == 1
+
+
+origin_spellings = st.one_of(
+    st.integers(1, 2**200).map(str),
+    st.integers(1, 2**40).map(lambda v: f"{v:_}"),
+    st.integers(1, 400).flatmap(
+        lambda n: st.sampled_from([f"M{n}", f"2^{n}-1", f"2^{n}", f"0{n}"])
+    ),
+    st.integers(1, 20).map(lambda rank: f"Mp{rank}"),
+)
+
+
+@given(origin_spellings, st.integers(0, 3000))
+def test_every_read_file_re_serializes_to_its_bytes(tmp_path_factory, text, budget):
+    path = tmp_path_factory.mktemp("prop") / "run.ckpt"
+    expr = parse_expression(text)
+    state = advance(initial_state(expr.resolve(), origin=expr), budget)
+    written = checkpoint_write(path, state)
+    assert path.read_bytes() == serialize_checkpoint(written)
+    cp = checkpoint_read(path)
+    assert cp.to_state() == state
+    assert cp.to_state().origin.source_text == text
+    assert serialize_checkpoint(cp) == path.read_bytes()
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(0, 40),
+    st.text("0123456789abcdefABCDEF+-_ x=M^p", min_size=1, max_size=3),
+)
+def test_an_edited_field_is_refused_or_round_trips(tmp_path_factory, line, at, insert):
+    path = tmp_path_factory.mktemp("edit") / "run.ckpt"
+    checkpoint_write(path, make_state())
+    lines = payload_lines(path)
+    key, _, value = lines[line].partition(b"=")
+    at = min(at, len(value))
+    lines[line] = key + b"=" + value[:at] + insert.encode("ascii") + value[at:]
+    path.write_bytes(rebuild(lines))
+    try:
+        cp = checkpoint_read(path)
+    except MalformedField:
+        return
+    assert serialize_checkpoint(cp) == path.read_bytes()

@@ -362,8 +362,8 @@ def test_checkpointed_run_from_scratch(tmp_path, capsys):
     )
     assert code == 0
     assert rows(out)[1][2] == "1454"
-    final = checkpoint_read(ckpt)
-    assert final.steps == 1454 and final.current_value_hex == "1"
+    final = checkpoint_read(ckpt).to_state()
+    assert final.steps == 1454 and final.current == 1
 
     # Running again resumes the finished state and reports the same result.
     code, out, _ = run_cli(capsys, "pathlen", "M89", "--checkpoint", str(ckpt))
@@ -397,7 +397,7 @@ def test_checkpoint_refuses_a_different_origin(tmp_path, capsys):
     assert out == ""
     assert "refusing" in err
     # The mismatch must not clobber the existing checkpoint.
-    assert checkpoint_read(ckpt).steps == 500
+    assert checkpoint_read(ckpt).to_state().steps == 500
 
 
 def test_checkpoint_corruption_is_a_runtime_failure(tmp_path, capsys):

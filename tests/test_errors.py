@@ -1,5 +1,7 @@
 """The one integer check every public entry point takes its arguments through."""
 
+from fractions import Fraction
+
 import pytest
 
 from collatzpath import (
@@ -11,6 +13,7 @@ from collatzpath import (
     IterationState,
     NumberExpression,
     Provenance,
+    RangeError,
     SetLabel,
     advance,
     catalog_entry,
@@ -18,6 +21,7 @@ from collatzpath import (
     fit_line_indices,
     fit_loglog,
     generate_set_B,
+    heuristic_path_length,
     initial_state,
     is_prime,
     lucas_lehmer,
@@ -83,3 +87,25 @@ def test_checked_int_messages():
         checked_int(-5, "n", 1)
     with pytest.raises(DomainError, match=r"^n must be >= 1, got a 20001-bit value -0x8000"):
         checked_int(HUGE, "n", 1)
+
+
+FLOAT_OVERFLOWS = {
+    "heuristic_path_length": lambda: heuristic_path_length(2**20000),
+    "heuristic_path_length.Fraction": lambda: heuristic_path_length(Fraction(2**20000)),
+    "fit_loglog.rank": lambda: fit_loglog([(2**20000, 5), (1, 7)]),
+    "fit_loglog.exponent": lambda: fit_loglog([(1, 2**20000), (2, 7)]),
+    "fit_line_indices": lambda: fit_line_indices(FitResult(0.9, 0.55, 0.0), (10000,)),
+    "fit_line_indices.huge": lambda: fit_line_indices(FitResult(0.9, 0.55, 0.0), (2**20000,)),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_OVERFLOWS.values(), ids=FLOAT_OVERFLOWS.keys())
+def test_float_overflow_is_a_range_error(call):
+    with pytest.raises(RangeError):
+        call()
+
+
+@pytest.mark.parametrize("bad", ["x", None, [1.0]])
+def test_non_numbers_are_domain_errors(bad):
+    with pytest.raises(DomainError, match="^ln_n must be a number, got "):
+        heuristic_path_length(bad)

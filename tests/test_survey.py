@@ -199,6 +199,11 @@ def test_reference_pairs_reproduce_published_statistics(label):
     assert abs(stats.sample_variance - variance) < 5e-8
 
 
+def test_reference_pairs_rejects_an_unknown_label():
+    with pytest.raises(DomainError, match="'mersenne', 'A', 'B', 'C', 'D', got 'Z'"):
+        reference_pairs("Z")
+
+
 
 # Rows below 150,000 recompute in about a second together; those up to
 # 1,500,000 take about half a minute, so they run under -m long.  The
