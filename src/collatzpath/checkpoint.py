@@ -33,6 +33,7 @@ from .errors import (
     ChecksumMismatch,
     DomainError,
     MalformedField,
+    ParseError,
     VersionUnsupported,
 )
 from .expressions import NumberExpression, parse_expression
@@ -49,8 +50,18 @@ class Checkpoint:
     state: IterationState
 
     def __post_init__(self) -> None:
-        if not isinstance(self.state.origin, NumberExpression):
+        origin = self.state.origin
+        if not isinstance(origin, NumberExpression):
             raise DomainError("checkpointing requires a state with an origin expression")
+        # The file stores source_text, and the reader re-parses it.
+        try:
+            same = parse_expression(origin.source_text) == origin
+        except ParseError:
+            same = False
+        if not same:
+            raise DomainError(
+                f"origin text {origin.source_text!r} does not parse back to {origin.canonical()}"
+            )
 
     def to_state(self) -> IterationState:
         """Rebuild the engine state this checkpoint froze."""

@@ -34,14 +34,10 @@ from .expressions import NumberExpression, decimal_text, parse_expression
 from .heuristics import fit_loglog, mersenne_heuristic
 from .survey import (
     SetLabel,
-    generate_set_A,
-    generate_set_B,
-    fixture_set_C,
-    fixture_set_D,
+    index_set,
     mersenne_path_lengths,
-    mersenne_set,
     ratio_stats,
-    reference_pairs,
+    reference_d,
     scan_ratios,
 )
 
@@ -196,49 +192,26 @@ def _cmd_scan(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
-def _stats_index_set(args: argparse.Namespace):
-    label = SetLabel(args.set_label)
-    # Only the bounds the user gave; each set's own defaults fill in the rest.
-    given = {"from_rank": args.from_rank, "to_rank": args.to_rank}
-    bounds = {name: rank for name, rank in given.items() if rank is not None}
-    if label in (SetLabel.C, SetLabel.D):
-        if bounds:
-            raise _UsageError(f"set {label.value} is a fixture; it takes no rank range")
-        return label, (fixture_set_C() if label is SetLabel.C else fixture_set_D())
+def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
     try:
-        if label is SetLabel.MERSENNE:
-            return label, mersenne_set(**bounds)
-        if label is SetLabel.A:
-            return label, generate_set_A(mersenne_set(**bounds))
-        return label, generate_set_B(**bounds)
+        rows = index_set(args.set_label, args.from_rank, args.to_rank)
     except RangeError as exc:
         raise _UsageError(str(exc)) from None
-
-
-def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
-    label, index_set = _stats_index_set(args)
-    pairs = None
-    if not args.recompute:
-        if label is SetLabel.MERSENNE:
-            known = {e.exponent: e.reference_d for e in catalog_entries()}
-        else:
-            known = dict(reference_pairs(label))
-        if all(n in known for n in index_set.indices):
-            pairs = [(n, known[n]) for n in index_set.indices]
+    pairs = None if args.recompute else reference_d(rows)
     if pairs is None:
-        top = max(index_set.indices)
+        top = max(rows.indices)
         if top > _SLOW_EXPONENT:
             print(
                 f"warning: recomputing D up to n={top} runs for minutes to hours; "
                 f"reference values cover the default ranges",
                 file=sys.stderr,
             )
-        d_values = mersenne_path_lengths(index_set.indices, args.jobs, args.cycle_guard)
-        pairs = list(zip(index_set.indices, d_values))
+        d_values = mersenne_path_lengths(rows.indices, args.jobs, args.cycle_guard)
+        pairs = list(zip(rows.indices, d_values))
     stats = ratio_stats(pairs)
     w = _make_writer(args, out)
     w.writerow(["label", "count", "mean", "sample_variance"])
-    w.writerow([label.value, stats.count, stats.mean, stats.sample_variance])
+    w.writerow([rows.label.value, stats.count, stats.mean, stats.sample_variance])
     return EXIT_OK
 
 

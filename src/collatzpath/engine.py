@@ -334,19 +334,15 @@ def _walk(
                 even += k
                 peak = top
             remaining -= k + c
-        elif x & 1:
-            y = 3 * x + 1
-            b = y.bit_length()
-            if b > peak:
-                peak = b
-            t = _trailing_zeros(y)
-            if t >= remaining:
-                t = remaining - 1
-            x = y >> t
-            odd += 1
-            even += t
-            remaining -= t + 1
         else:
+            # A fused step: 3x+1 when x is odd, then the halvings the budget allows.
+            if x & 1:
+                x = 3 * x + 1
+                b = x.bit_length()
+                if b > peak:
+                    peak = b
+                odd += 1
+                remaining -= 1
             t = _trailing_zeros(x)
             if t > remaining:
                 t = remaining

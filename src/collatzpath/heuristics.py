@@ -54,16 +54,20 @@ def heuristic_path_length(ln_n: float) -> float:
 
     The caller supplies the natural log of N so that huge values never need
     materializing; bit_length(N) * ln 2 is a fine summary for big N.
-    Raises DomainError for a non-number and RangeError for an int too
-    large to be a float.
+    Raises DomainError for a non-number (text included), infinity or NaN,
+    and RangeError for an int too large to be a float.
     """
+    if isinstance(ln_n, (str, bytes, bytearray)):
+        raise DomainError(f"ln_n must be a number, got {type(ln_n).__name__}")
     try:
         ln_n = float(ln_n)
     except OverflowError:
         raise RangeError(f"ln_n must fit a float, got {int_text(int(ln_n), 'value')}") from None
     except (TypeError, ValueError):
         raise DomainError(f"ln_n must be a number, got {type(ln_n).__name__}") from None
-    if not ln_n >= 0.0:
+    if not math.isfinite(ln_n):
+        raise DomainError(f"ln_n must be finite, got {ln_n}")
+    if ln_n < 0.0:
         raise DomainError(f"ln_n must be >= 0, got {ln_n}")
     return C0 * ln_n
 

@@ -10,13 +10,15 @@ here builds five 13-element index sets and compares their ratio spread:
   C         doubles of selected catalog exponents (composite indices)
   D         indices sitting on the catalog's own log-log fit line
 
+index_set(label, from_rank, to_rank) is the one place a label and its rank
+bounds become a row, and reference_d(rows) the one place a row finds its
+reference path lengths, so statistics on the default rows are instant.
 Sets C and D were hand-selected rather than generated by a fixed rule, so
 they ship as verbatim fixtures; best-effort generators for their selection
-idea are provided alongside.  Reference path lengths for all five default
-rows are embedded so statistics are instant.  The test suite recomputes the
-rows of sets A to D with n below 150,000 in the default tier and those up to
-1,500,000 under -m long; the 14 rows above that stand as unverified
-reference data, as do catalog ranks 36 and up in the mersenne row.
+idea are provided alongside.  The test suite recomputes the rows of sets A
+to D with n below 150,000 in the default tier and those up to 1,500,000
+under -m long; the 14 rows above that stand as unverified reference data,
+as do catalog ranks 36 and up in the mersenne row.
 """
 
 from __future__ import annotations
@@ -51,6 +53,14 @@ class Provenance(str, Enum):
     FIXTURE = "fixture"
 
 
+def _set_label(label: object) -> SetLabel:
+    try:
+        return SetLabel(label)
+    except ValueError:
+        valid = ", ".join(repr(member.value) for member in SetLabel)
+        raise DomainError(f"label must be one of {valid}, got {label!r}") from None
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """A labeled, strictly increasing list of exponents."""
@@ -60,6 +70,7 @@ class IndexSet:
     provenance: Provenance
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "label", _set_label(self.label))
         indices = tuple(checked_int(i, "indices", 1) for i in self.indices)
         object.__setattr__(self, "indices", indices)
         if not indices:
@@ -130,30 +141,20 @@ def generate_set_B(from_rank: int = 25, to_rank: int = 38) -> IndexSet:
     return IndexSet(label=SetLabel.B, indices=indices, provenance=Provenance.GENERATED)
 
 
-# Verbatim hand-selected rows.  Set C doubles the catalog exponents of
-# ranks 23 and 25..36; set D sits on the catalog log-log fit line at the
-# ranks in SET_D_FIT_RANKS (round(2**(intercept + slope * k))).
-_SET_C_INDICES = (
-    22426, 43402, 46418, 88994, 172486, 221006, 264098,
-    432182, 1513678, 1718866, 2515574, 2796538, 5952442,
-)
-_SET_D_INDICES = (
-    20160, 43644, 64216, 94484, 139021, 204550, 442830,
-    651562, 958682, 1410567, 2075452, 3053739, 4493150,
-)
-
 SET_C_SOURCE_RANKS = (23, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36)
 SET_D_FIT_RANKS = (24, 26, 27, 28, 29, 30, 32, 33, 34, 35, 36, 37, 38)
 
 
 def fixture_set_C() -> IndexSet:
     """The verbatim doubled-exponent comparison row."""
-    return IndexSet(label=SetLabel.C, indices=_SET_C_INDICES, provenance=Provenance.FIXTURE)
+    indices = tuple(n for n, _ in _REFERENCE_D[SetLabel.C])
+    return IndexSet(label=SetLabel.C, indices=indices, provenance=Provenance.FIXTURE)
 
 
 def fixture_set_D() -> IndexSet:
     """The verbatim fit-line comparison row."""
-    return IndexSet(label=SetLabel.D, indices=_SET_D_INDICES, provenance=Provenance.FIXTURE)
+    indices = tuple(n for n, _ in _REFERENCE_D[SetLabel.D])
+    return IndexSet(label=SetLabel.D, indices=indices, provenance=Provenance.FIXTURE)
 
 
 def double_exponents(base: IndexSet) -> IndexSet:
@@ -205,9 +206,13 @@ def ratio_stats(pairs: list[tuple[int, int]]) -> RatioStats:
 
 
 # Reference path lengths for the four embedded default rows, as (n, D).
-# The test suite recomputes every row with n up to 1,500,000 (those from
-# 150,000 up under -m long); the 14 rows above that are unverified
-# reference data on the same footing as catalog ranks 36 and up.
+# The n column of rows C and D is also their verbatim hand-selected index
+# list: set C doubles the catalog exponents of the ranks in
+# SET_C_SOURCE_RANKS, and set D sits on the catalog log-log fit line at the
+# ranks in SET_D_FIT_RANKS (round(2**(intercept + slope * k))).  The test
+# suite recomputes every row with n up to 1,500,000 (those from 150,000 up
+# under -m long); the 14 rows above that are unverified reference data on
+# the same footing as catalog ranks 36 and up.
 _REFERENCE_D = {
     SetLabel.A: (
         (23227, 312182), (44501, 598071), (86249, 1158882), (110527, 1482553),
@@ -236,63 +241,65 @@ _REFERENCE_D = {
 }
 
 
-def reference_pairs(label: SetLabel) -> tuple[tuple[int, int], ...]:
-    """(n, D) reference pairs for a default 13-element row.
+def index_set(label: SetLabel, from_rank: int | None = None, to_rank: int | None = None) -> IndexSet:
+    """The row a label names over catalog ranks from_rank..to_rank.
 
-    The mersenne row pairs the exponents of mersenne_set()'s default ranks
-    with their catalog D; the other rows carry their own embedded
-    measurements.  An unknown label raises DomainError.
+    A bound left as None takes the row's own default.  Rows C and D are
+    fixtures: a bound for them raises RangeError, as does a rank range
+    another row cannot take.  An unknown label raises DomainError.
     """
-    try:
-        label = SetLabel(label)
-    except ValueError:
-        valid = ", ".join(repr(member.value) for member in SetLabel)
-        raise DomainError(f"label must be one of {valid}, got {label!r}") from None
+    label = _set_label(label)
+    given = {"from_rank": from_rank, "to_rank": to_rank}
+    bounds = {name: rank for name, rank in given.items() if rank is not None}
+    if label is SetLabel.C or label is SetLabel.D:
+        if bounds:
+            raise RangeError(f"set {label.value} is a fixture; it takes no rank range")
+        return fixture_set_C() if label is SetLabel.C else fixture_set_D()
     if label is SetLabel.MERSENNE:
+        return mersenne_set(**bounds)
+    if label is SetLabel.A:
+        return generate_set_A(mersenne_set(**bounds))
+    return generate_set_B(**bounds)
+
+
+def reference_d(rows: IndexSet) -> tuple[tuple[int, int], ...] | None:
+    """(n, D) for every index of rows from the catalog (mersenne row) or the
+    embedded measurements (other rows); None when some index has no value.
+    """
+    if rows.label is SetLabel.MERSENNE:
         known = {e.exponent: e.reference_d for e in catalog_entries()}
-        return tuple((n, known[n]) for n in mersenne_set().indices)
-    return _REFERENCE_D[label]
-
-
-def _prev_prime(n: int) -> int | None:
-    """Largest prime strictly below n, or None when none exists."""
-    if n <= 2:
+    else:
+        known = dict(_REFERENCE_D[rows.label])
+    if not all(n in known for n in rows.indices):
         return None
-    if n == 3:
-        return 2
-    candidate = n - 1
-    if not candidate & 1:
-        candidate -= 1
-    while candidate >= 3:
-        if is_prime(candidate):
-            return candidate
-        candidate -= 2
-    return 2
+    return tuple((n, known[n]) for n in rows.indices)
+
+
+def reference_pairs(label: SetLabel) -> tuple[tuple[int, int], ...]:
+    """(n, D) reference pairs for a default 13-element row."""
+    return reference_d(index_set(label))
+
+
+def _primes_from(start: int, count: int, stride: int, step: int) -> list[int]:
+    """The first count of every stride-th prime met walking from start
+    (excluded) by step, +1 or -1; the walk down stops at 2."""
+    found: list[int] = []
+    position = 0
+    n = start + step
+    while len(found) < count and n >= 2:
+        if is_prime(n):
+            position += 1
+            if position % stride == 0:
+                found.append(n)
+        n += step
+    return found
 
 
 def _scan_exponents(center: int, count_each_side: int, stride: int, primes_only: bool) -> list[int]:
     if primes_only:
-        below: list[int] = []
-        position = 0
-        p: int | None = center
-        while len(below) < count_each_side:
-            p = _prev_prime(p)
-            if p is None:
-                break
-            position += 1
-            if position % stride == 0:
-                below.append(p)
-        below.reverse()
-        above: list[int] = []
-        position = 0
-        q = center
-        while len(above) < count_each_side:
-            q = next_prime(q)
-            position += 1
-            if position % stride == 0:
-                above.append(q)
+        below = _primes_from(center, count_each_side, stride, -1)
         middle = [center] if is_prime(center) else []
-        return below + middle + above
+        return below[::-1] + middle + _primes_from(center, count_each_side, stride, 1)
     below = [center - j * stride for j in range(count_each_side, 0, -1)]
     above = [center + j * stride for j in range(1, count_each_side + 1)]
     return [n for n in below if n >= 2] + [center] + above

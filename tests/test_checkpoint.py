@@ -9,7 +9,9 @@ from collatzpath import (
     Checkpoint,
     ChecksumMismatch,
     DomainError,
+    ExpressionKind,
     MalformedField,
+    NumberExpression,
     VersionUnsupported,
     advance,
     checkpoint_from_state,
@@ -89,6 +91,20 @@ def test_checkpoint_requires_an_origin():
         checkpoint_from_state(anonymous)
     with pytest.raises(DomainError):
         checkpoint_write("unused", anonymous)
+
+
+@pytest.mark.parametrize("spelling", ["2^89 - 1", "M89\norigin=M90", "M90"])
+def test_an_origin_whose_text_does_not_parse_back_is_refused(tmp_path, spelling):
+    # The file stores source_text and the reader re-parses it, so a text
+    # that fails to parse, breaks the line structure, or names another
+    # number would make a file that is refused or resumes the wrong run.
+    origin = NumberExpression(ExpressionKind.MERSENNE_BY_EXPONENT, 89, source_text=spelling)
+    state = advance(initial_state(origin.resolve(), origin=origin), 100)
+    with pytest.raises(DomainError):
+        checkpoint_from_state(state)
+    with pytest.raises(DomainError):
+        checkpoint_write(tmp_path / "run.ckpt", state)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_crc_convention_is_the_everyday_one():

@@ -109,3 +109,16 @@ def test_float_overflow_is_a_range_error(call):
 def test_non_numbers_are_domain_errors(bad):
     with pytest.raises(DomainError, match="^ln_n must be a number, got "):
         heuristic_path_length(bad)
+
+
+# float() would read these as 5.0.
+@pytest.mark.parametrize("bad", ["5", b"5", bytearray(b"5")], ids=["str", "bytes", "bytearray"])
+def test_numeric_text_is_not_a_number(bad):
+    with pytest.raises(DomainError, match=f"^ln_n must be a number, got {type(bad).__name__}$"):
+        heuristic_path_length(bad)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_numbers_are_domain_errors(bad):
+    with pytest.raises(DomainError, match="^ln_n must be finite, got "):
+        heuristic_path_length(bad)

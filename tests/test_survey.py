@@ -1,8 +1,9 @@
 """Index-set construction, ratio statistics, and the scan window logic."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import naive_path_length, trial_division_is_prime
+from conftest import naive_path_length, sieve_flags, trial_division_is_prime
 
 from collatzpath import (
     SET_C_SOURCE_RANKS,
@@ -23,13 +24,16 @@ from collatzpath import (
     fixture_set_D,
     generate_set_A,
     generate_set_B,
+    index_set,
     mersenne_number,
     mersenne_set,
     path_length,
     ratio_stats,
+    reference_d,
     reference_pairs,
     scan_ratios,
 )
+from collatzpath.survey import _scan_exponents
 
 MID_RANGE_EXPONENTS = (
     23209, 44497, 86243, 110503, 132049, 216091, 756839,
@@ -71,6 +75,9 @@ def test_index_set_validation():
         IndexSet(label=SetLabel.A, indices=(5, 5), provenance=Provenance.GENERATED)
     with pytest.raises(DomainError):
         IndexSet(label=SetLabel.A, indices=(7, 3), provenance=Provenance.GENERATED)
+    with pytest.raises(DomainError, match="got 'Z'"):
+        IndexSet(label="Z", indices=(3,), provenance=Provenance.GENERATED)
+    assert IndexSet(label="A", indices=(3,), provenance=Provenance.GENERATED).label is SetLabel.A
 
 
 def test_set_a_is_the_next_prime_row():
@@ -204,6 +211,58 @@ def test_reference_pairs_rejects_an_unknown_label():
         reference_pairs("Z")
 
 
+def test_index_set_default_rows():
+    assert index_set("mersenne") == mersenne_set()
+    assert index_set(SetLabel.A) == generate_set_A(mersenne_set())
+    assert index_set("B") == generate_set_B()
+    assert index_set("C") == fixture_set_C()
+    assert index_set("D") == fixture_set_D()
+    assert [index_set(label).indices for label in ROW_INDICES] == list(ROW_INDICES.values())
+
+
+def test_index_set_rank_bounds():
+    assert index_set("mersenne", 13, 17) == mersenne_set(13, 17)
+    assert index_set("mersenne", from_rank=30) == mersenne_set(30, 38)
+    assert index_set("mersenne", to_rank=27) == mersenne_set(26, 27)
+    assert index_set("A", 16, 17) == generate_set_A(mersenne_set(16, 17))
+    assert index_set("A", to_rank=30) == generate_set_A(mersenne_set(26, 30))
+    assert index_set("B", 10, 14) == generate_set_B(10, 14)
+    assert index_set("B", from_rank=30) == generate_set_B(30, 38)
+    assert index_set("B", to_rank=30) == generate_set_B(25, 30)
+    for label, bounds in (("mersenne", (40, 50)), ("A", (5, 4)), ("B", (14, 14))):
+        with pytest.raises(RangeError):
+            index_set(label, *bounds)
+
+
+@pytest.mark.parametrize("label", ["C", "D"])
+@pytest.mark.parametrize("bounds", [(3, None), (None, 5), (1, 2)])
+def test_fixture_rows_take_no_rank_range(label, bounds):
+    with pytest.raises(RangeError, match=f"^set {label} is a fixture; it takes no rank range$"):
+        index_set(label, *bounds)
+
+
+def test_index_set_rejects_an_unknown_label():
+    with pytest.raises(DomainError, match="'mersenne', 'A', 'B', 'C', 'D', got 'Z'"):
+        index_set("Z")
+
+
+def test_reference_d_covers_the_default_rows_and_catalog_ranges():
+    for label in SetLabel:
+        pairs = reference_d(index_set(label))
+        assert pairs == reference_pairs(label)
+        assert tuple(n for n, _ in pairs) == index_set(label).indices
+    catalog = {e.exponent: e.reference_d for e in catalog_entries()}
+    assert reference_d(mersenne_set(1, 5)) == tuple((n, catalog[n]) for n in (2, 3, 5, 7, 13))
+
+
+def test_reference_d_is_none_when_an_index_is_missing():
+    assert reference_d(index_set("A", 16, 17)) is None
+    assert reference_d(index_set("B", 10, 14)) is None
+    # One embedded index and one foreign one.
+    mixed = IndexSet(label=SetLabel.C, indices=(22426, 22427), provenance=Provenance.GENERATED)
+    assert reference_d(mixed) is None
+
+
 
 # Rows below 150,000 recompute in about a second together; those up to
 # 1,500,000 take about half a minute, so they run under -m long.  The
@@ -269,6 +328,30 @@ def test_scan_prime_stride_skips():
 def test_scan_prime_window_truncates_at_the_bottom():
     records = scan_ratios(5, 10, 1, True)
     assert [r.exponent for r in records] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+
+
+_SIEVE_LIMIT = 8000
+_SIEVE = sieve_flags(_SIEVE_LIMIT)
+_PRIMES = [n for n in range(_SIEVE_LIMIT) if _SIEVE[n]]
+
+
+@given(
+    center=st.integers(2, 5000),
+    count=st.integers(0, 8),
+    stride=st.integers(1, 4),
+)
+def test_prime_window_matches_a_sieve(center, count, stride):
+    below = [p for p in reversed(_PRIMES) if p < center][stride - 1 :: stride][:count]
+    above = [p for p in _PRIMES if p > center][stride - 1 :: stride][:count]
+    assert len(above) == count  # the sieve reaches past the window
+    middle = [center] if _SIEVE[center] else []
+    assert _scan_exponents(center, count, stride, True) == below[::-1] + middle + above
+
+
+def test_prime_window_strides_and_truncates_near_two():
+    assert _scan_exponents(2, 3, 2, True) == [2, 5, 11, 17]
+    assert _scan_exponents(4, 3, 1, True) == [2, 3, 5, 7, 11]
+    assert _scan_exponents(8, 3, 2, True) == [2, 5, 13, 19, 29]
 
 
 def test_scan_count_zero_is_empty():
