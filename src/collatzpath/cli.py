@@ -197,6 +197,11 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
         rows = index_set(args.set_label, args.from_rank, args.to_rank)
     except RangeError as exc:
         raise _UsageError(str(exc)) from None
+    if len(rows.indices) < 2:
+        raise _UsageError(
+            f"statistics need at least 2 indices, set {rows.label.value} has "
+            f"{len(rows.indices)} over these ranks"
+        )
     pairs = None if args.recompute else reference_d(rows)
     if pairs is None:
         top = max(rows.indices)
@@ -247,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--jobs", type=_int_at_least(1), default=_available_cpus(), metavar="J",
-        help="worker processes for batch computations (default: available parallelism)",
+        help="processes that compute batch rows at once; above 1 they are forked "
+        "children (default: available parallelism)",
     )
     common.add_argument(
         "--cycle-guard", type=_int_at_least(1), default=DEFAULT_CYCLE_GUARD, metavar="STEPS",
@@ -342,3 +348,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

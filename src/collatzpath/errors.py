@@ -75,6 +75,10 @@ class CycleGuardExceeded(CollatzPathError, RuntimeError):
             f"{int_text(start, 'start')}"
         )
 
+    def __reduce__(self):
+        # Exception pickles its message alone; rebuild from the arguments.
+        return type(self), (self.start, self.limit), vars(self)
+
 
 class DegenerateFitError(CollatzPathError, ValueError):
     """A least-squares fit was requested on degenerate input."""
@@ -96,6 +100,9 @@ class ParseError(CollatzPathError, ValueError):
         self.offset = offset
         self.expected = expected
         super().__init__(f"offset {offset}: expected {expected} in {text!r}")
+
+    def __reduce__(self):
+        return type(self), (self.text, self.offset, self.expected), vars(self)
 
 
 class CheckpointError(CollatzPathError):

@@ -23,6 +23,7 @@ as do catalog ranks 36 and up in the mersenne row.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -36,7 +37,14 @@ from .catalog import (
     next_prime,
 )
 from .engine import DEFAULT_CYCLE_GUARD, path_length
-from .errors import DegenerateStatsError, DomainError, RangeError, checked_int, int_text
+from .errors import (
+    CollatzPathError,
+    DegenerateStatsError,
+    DomainError,
+    RangeError,
+    checked_int,
+    int_text,
+)
 from .heuristics import FitResult
 
 
@@ -309,21 +317,89 @@ def _mersenne_d(n: int, cycle_guard: int) -> int:
     return path_length(mersenne_number(n), cycle_guard=cycle_guard).d
 
 
+def _compute_share(exponents: Sequence[int], cycle_guard: int, fd: int) -> None:
+    """The body of a forked child: one pickled (ok, value) record to the
+    pipe fd for each of exponents, in order.  A row that raises sends the
+    exception as its record and ends the share.  The child always leaves by
+    os._exit, so it never flushes stdio buffers copied from its parent and
+    never returns into the caller.
+    """
+    status = 1
+    try:
+        import pickle
+
+        with os.fdopen(fd, "wb") as pipe:
+            for n in exponents:
+                try:
+                    record = (True, _mersenne_d(n, cycle_guard))
+                except Exception as exc:
+                    record = (False, exc)
+                pipe.write(pickle.dumps(record))
+                pipe.flush()
+                if not record[0]:
+                    break
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def mersenne_path_lengths(exponents: Sequence[int], jobs: int, cycle_guard: int) -> Iterator[int]:
     """Yield D(2**n - 1) for each n in exponents, in input order.
 
-    With jobs > 1 and more than one exponent the computations fan out
-    across a process pool of jobs workers.
+    jobs is the number of processes that compute at once.  With jobs > 1
+    and more than one exponent, row i goes to share i % shares of
+    shares = min(jobs, len(exponents)), and one forked child computes each
+    share in input order from the start; this process only reads the
+    children's pipes, each when its row is due, so rows stream out as they
+    finish.  An exception raised by any row is raised here after every
+    earlier row has been yielded, as with jobs = 1.  A child that ends
+    without sending its row raises CollatzPathError.  When the generator
+    finishes, fails or is closed, every child still running is killed and
+    every child is reaped.  Where os.fork is missing, or with one share,
+    this process computes the rows itself.
     """
     jobs = checked_int(jobs, "jobs", 1)
-    guards = [cycle_guard] * len(exponents)
-    if jobs > 1 and len(exponents) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    shares = min(jobs, len(exponents)) if hasattr(os, "fork") else 1
+    if shares <= 1:
+        yield from (_mersenne_d(n, cycle_guard) for n in exponents)
+        return
+    import pickle
+    import signal
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(_mersenne_d, exponents, guards)
-    else:
-        yield from map(_mersenne_d, exponents, guards)
+    children = {}  # share -> (pid, read end of its pipe)
+    try:
+        for share in range(shares):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _compute_share(exponents[share::shares], cycle_guard, write_fd)
+            os.close(write_fd)
+            children[share] = (pid, os.fdopen(read_fd, "rb"))
+        for i, n in enumerate(exponents):
+            pid, pipe = children[i % shares]
+            try:
+                ok, value = pickle.load(pipe)
+            except EOFError:
+                pipe.close()
+                del children[i % shares]
+                _, status = os.waitpid(pid, 0)
+                raise CollatzPathError(
+                    f"the process computing n={int_text(n, 'exponent')} ended without "
+                    f"a result (exit status {os.waitstatus_to_exitcode(status)})"
+                ) from None
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def scan_ratios(
@@ -343,8 +419,8 @@ def scan_ratios(
     the bottom of the prime sequence.  In integer mode the window is
     center +- j*stride clipped to n >= 2.  count_each_side = 0 yields [].
 
-    jobs > 1 fans the path-length computations across a process pool;
-    output order is by exponent either way.
+    jobs > 1 computes the rows in that many forked processes (see
+    mersenne_path_lengths); output order is by exponent either way.
     """
     center = checked_int(center, "center", 2)
     count_each_side = checked_int(count_each_side, "count_each_side", 0)

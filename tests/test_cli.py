@@ -143,6 +143,32 @@ def test_verify_parallel_matches_serial(capsys):
     assert code == 0 and len(rows(out)) == 15
 
 
+# Commands that must print the same bytes and exit alike whatever --jobs
+# is; the last trips the guard at rank 2 and exits 3.
+JOBS_INVARIANT = {
+    "verify": ("verify", "--ranks", "1..14"),
+    "scan": ("scan", "--center", "127", "--each-side", "3", "--stride", "1", "--primes-only"),
+    "stats": ("stats", "--set", "A", "--from-rank", "16", "--to-rank", "17", "--recompute"),
+    "guard": ("verify", "--ranks", "1..14", "--cycle-guard", "10"),
+}
+
+
+@pytest.mark.parametrize("argv", JOBS_INVARIANT.values(), ids=JOBS_INVARIANT.keys())
+def test_jobs_change_no_output(capsys, argv):
+    serial = run_cli(capsys, *argv, "--jobs", "1")
+    # stats recomputes two rows; no case asks for more processes than rows.
+    for jobs in ("2",) if argv[0] == "stats" else ("2", "4"):
+        assert run_cli(capsys, *argv, "--jobs", jobs) == serial
+
+
+def test_a_guard_trip_crosses_the_fan_out_intact(capsys):
+    code, out, err = run_cli(capsys, *JOBS_INVARIANT["guard"], "--jobs", "2")
+    assert code == 3
+    assert err == "collatzpath: error: step count exceeded the cycle guard (10) iterating from 7\n"
+    assert rows(out) == [["rank", "exponent", "reference_d", "computed_d", "match"],
+                         ["1", "2", "7", "7", "true"]]
+
+
 def test_scan_integer_window(capsys):
     code, out, _ = run_cli(
         capsys, "scan", "--center", "16", "--each-side", "1", "--stride", "1", "--jobs", "1"
@@ -243,6 +269,22 @@ def test_stats_recompute_warns_when_slow(capsys, monkeypatch):
     assert code == 0
     assert "warning" in err and "hours" in err
     assert rows(out)[1][1] == "2"
+
+
+@pytest.mark.parametrize(
+    "bounds", [("--from-rank", "31", "--to-rank", "31", "--recompute"),
+               ("--from-rank", "1", "--to-rank", "1")],
+    ids=["recompute", "reference"],
+)
+def test_stats_refuses_a_one_index_row_before_any_work(capsys, monkeypatch, bounds):
+    def no_work(*args):
+        pytest.fail("a one-index row must be refused before any lookup or recompute")
+
+    monkeypatch.setattr("collatzpath.cli.reference_d", no_work)
+    monkeypatch.setattr("collatzpath.cli.mersenne_path_lengths", no_work)
+    code, out, err = run_cli(capsys, "stats", "--set", "mersenne", *bounds, "--jobs", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("collatzpath: usage error: statistics need at least 2 indices")
 
 
 def test_fit_row(capsys):
@@ -436,3 +478,34 @@ def test_main_reraises_nothing(capsys):
         pytest.fail("main must convert library errors to exit codes")
     assert code == 3
     capsys.readouterr()
+
+
+def run_module(*argv):
+    package_root = os.path.dirname(os.path.dirname(collatzpath.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("module", ["collatzpath", "collatzpath.cli"])
+def test_python_dash_m_runs_the_command(module):
+    done = run_module("-m", module, "verify", "--ranks", "1..3")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (
+        "rank,exponent,reference_d,computed_d,match\n"
+        "1,2,7,7,true\n2,3,16,16,true\n3,5,106,106,true\n"
+    )
+
+
+def test_the_fan_out_imports_no_process_pool():
+    script = (
+        "import contextlib, io, sys\n"
+        "from collatzpath import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', '--ranks', '1..14', '--jobs', '2'])\n"
+        "pools = [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]\n"
+        "print(code, pools)\n"
+    )
+    done = run_module("-c", script)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 []\n", "")

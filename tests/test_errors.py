@@ -1,5 +1,6 @@
 """The one integer check every public entry point takes its arguments through."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,7 @@ from collatzpath import (
     trace,
     verify_transit_lemma,
 )
+from collatzpath import errors
 from collatzpath.errors import checked_int
 
 # Past Python's 4300-digit str() limit, so only int_text can name it.
@@ -122,3 +124,40 @@ def test_numeric_text_is_not_a_number(bad):
 def test_non_finite_numbers_are_domain_errors(bad):
     with pytest.raises(DomainError, match="^ln_n must be finite, got "):
         heuristic_path_length(bad)
+
+
+# One instance of every exception class in errors.py, built the way the
+# package raises it.
+RAISED = [
+    errors.CollatzPathError("base"),
+    errors.DomainError("x must be >= 1, got 0"),
+    errors.RangeError("rank must be in [1, 47], got 48"),
+    errors.CycleGuardExceeded(2**20000 - 1, 10),
+    errors.DegenerateFitError("need at least 2 points"),
+    errors.DegenerateStatsError("need at least 2 pairs, got 1"),
+    errors.ParseError("M1x", 2, "end of input"),
+    errors.CheckpointError("checkpoint"),
+    errors.VersionUnsupported("version 9"),
+    errors.ChecksumMismatch("CRC-32 mismatch"),
+    errors.MalformedField("steps"),
+    errors.OriginMismatch("checkpoint is for 'M89'"),
+]
+
+
+def test_every_exception_class_is_covered():
+    classes = {
+        value for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, BaseException)
+        and value.__module__ == errors.__name__
+    }
+    assert {type(exc) for exc in RAISED} == classes
+
+
+@pytest.mark.parametrize("exc", RAISED, ids=lambda exc: type(exc).__name__)
+def test_exceptions_survive_pickling(exc):
+    # A forked share sends the exception a row raised through a pipe.
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert back.args == exc.args
+    assert vars(back) == vars(exc)
