@@ -49,7 +49,8 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 # Above this exponent a recomputation stops being an interactive wait:
-# D(2**n - 1) takes about 15 s at n = 3M and a minute at n = 7M.
+# D(2**n - 1) takes about 6 s at n = 3M and 21 s at n = 7M on one core of
+# a 2-vCPU x86_64 VM under Python 3.11.
 _SLOW_EXPONENT = 4_000_000
 
 

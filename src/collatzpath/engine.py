@@ -15,35 +15,51 @@ b < 2**k gives
 where c counts the odd steps; one multiply-add on the wide value then
 stands for k + c rule applications (c odd, k even).
 
-The kernel has two moves.  While x has 80 bits or more and the budget
-affords 16 rule applications, it jumps k shortcut steps at once, k about
-half the bit length (and at most half the budget) rounded down to a
-multiple of 8.  _jump finds c and T**k(b) the way the binary recursive GCD
-finds its quotients (Stehle and Zimmermann 2004): it decides the first
-half of the steps from the low half of b, applies them to the rest of b
-with one multiply, and decides the second half from the low bits of the
-result.  Its leaves are passes over at most _BLOCK = 512 steps, eight
-steps per lookup in a 256-entry table, so the cost is a few balanced
-multiplies per level instead of one multiply of the whole value per 512
-steps.  Otherwise, near 1 or at the end of a budget, it takes the fused
-step: for odd x it computes y = 3x+1 and divides out all trailing zero
-bits of y at once.
+The kernel has three moves.  While x has 80 bits or more and the budget
+affords 16 rule applications, it reads a window of its k low bits, k
+about half the bit length (and at most half the budget) rounded down to a
+multiple of 8.
 
-Every count stays exact.  A jump takes at most half the remaining budget
-in steps, so it never overshoots, and a fused step is split after its
-3x+1 half when only one rule application is left.
+When that window is all one bits, it takes the run move; every start
+2**n - 1 opens with one.  A shortcut step from odd x maps x + 1 to
+3(x + 1)/2, so writing x + 1 = 2**t * m,
 
-The peak bit length comes from the excursion c*log2(3) - j of each odd
-step j, c counting the odd steps up to and including it: that step's 3x+1
-has log2(a) + k + the excursion as its log2, to within 2**-61.  Each table
+    T**t(2**t * m - 1) = 3**t * m - 1,
+
+t odd steps and t halvings in one power (for 2**n - 1, the transit
+identity T**n(2**n - 1) = 3**n - 1 of Lagarias 1985).  t is the number of
+trailing one bits of x, cut to half the remaining budget and to widest.
+The run's values rise throughout and its last 3x+1 is twice the new x, so
+the peak is the larger of the peak so far and one more than the new x's
+bit length, with no estimate.
+
+Otherwise it jumps k shortcut steps at once.  _jump finds c and T**k(b)
+the way the binary recursive GCD finds its quotients (Stehle and
+Zimmermann 2004): it decides the first half of the steps from the low half
+of b, applies them to the rest of b with one multiply, and decides the
+second half from the low bits of the result.  Its leaves are passes over
+at most _BLOCK = 512 steps, eight steps per lookup in a 256-entry table,
+so the cost is a few balanced multiplies per level instead of one
+multiply of the whole value per 512 steps.
+
+Near 1, or at the end of a budget, it takes the fused step: for odd x it
+computes y = 3x+1 and divides out all trailing zero bits of y at once.
+
+Every count stays exact.  A run or a jump takes at most half the
+remaining budget in steps, so it never overshoots, and a fused step is
+split after its 3x+1 half when only one rule application is left.
+
+A jump's peak bit length comes from the excursion c*log2(3) - j of each
+odd step j, c counting the odd steps up to and including it: that step's
+3x+1 has log2(a) + k + the excursion as its log2, to within 2**-61.  Each table
 entry carries the largest excursion of its eight steps, so a leaf finds
 its largest with one comparison per lookup, and only leaves that could
 climb above the peak so far track it at all.  Across leaves the largest is
 carried as an integer with _FIX = 96 fractional bits, exact to within
 c * 2**-96.  The bit length is read from a float estimate that errs by
 less than 1e-12 in all; when that estimate lies within _NEAR_INTEGER =
-1e-7 of an integer, the jump is replayed with narrower jumps, halving
-down to fused steps, which build every 3x+1 exactly.
+1e-7 of an integer, the jump is replayed with narrower moves, halving
+down to runs and fused steps, which settle the peak exactly.
 
 Values are plain Python ints throughout.  Termination of the iteration is
 an open conjecture, so every iterating function takes a cycle_guard step
@@ -214,6 +230,11 @@ def odd_step_accelerated(x: Natural) -> tuple[Natural, int]:
     return y >> t, 1 + t
 
 
+def _climb(x: int, t: int) -> int:
+    """T**t(x) for x with at least t trailing one bits: 3**t * ((x >> t) + 1) - 1."""
+    return 3**t * ((x >> t) + 1) - 1
+
+
 def _leaf(y: int, lookups: int, track: bool) -> tuple[int, int, int | None]:
     """8 * lookups shortcut steps of y by table: (c, T**(8 * lookups)(y), excursion).
 
@@ -309,10 +330,12 @@ def _walk(
 ) -> tuple[int, int, int, int]:
     """The stepping kernel: up to budget rule applications from x.
 
-    odd, even and peak carry the counters of the run so far and come back
-    updated with the new current value.  With halt set, the walk stops on
-    reaching 1.  No jump takes more than widest shortcut steps.  Raises
-    CycleGuardExceeded, reporting start, as soon as odd + even passes guard.
+    odd, even and peak carry the counters of the walk so far and come back
+    updated with the new current value.  Each move is a run over a window
+    of one bits, a jump over any other window, or a fused step.  With halt
+    set, the walk stops on reaching 1.  No run or jump takes more than
+    widest shortcut steps.  Raises CycleGuardExceeded, reporting start, as
+    soon as odd + even passes guard; it is checked after every move.
     """
     remaining = budget
     while remaining and not (halt and x == 1):
@@ -321,19 +344,31 @@ def _walk(
         # a = x >> k at least 64 bits wide.
         k = min(bits - 64, remaining, widest) >> 1 & -8
         if k > 0:
-            c, power, y, exc = _jump(x & ((1 << k) - 1), k, peak - bits)
-            a = x >> k
-            top = peak if exc is None else _peak_after(peak, a, k, exc)
-            if top is None:
-                # Replaying the jump's k + c rule applications with narrower
-                # jumps settles the peak exactly; fused steps always do.
-                x, odd, even, peak = _walk(x, odd, even, peak, k + c, guard, start, halt, k - 1)
+            window = (1 << k) - 1
+            low = x & window
+            if low == window:
+                # A run move: every step is odd and climbs, so the run's last
+                # 3x+1, twice the new x, is its highest value.
+                t = min(_trailing_zeros(x + 1), remaining >> 1, widest)
+                x = _climb(x, t)
+                peak = max(peak, x.bit_length() + 1)
+                odd += t
+                even += t
+                remaining -= 2 * t
             else:
-                x = power * a + y
-                odd += c
-                even += k
-                peak = top
-            remaining -= k + c
+                c, power, y, exc = _jump(low, k, peak - bits)
+                a = x >> k
+                top = peak if exc is None else _peak_after(peak, a, k, exc)
+                if top is None:
+                    # Replaying the jump's k + c rule applications with narrower
+                    # moves settles the peak exactly; runs and fused steps always do.
+                    x, odd, even, peak = _walk(x, odd, even, peak, k + c, guard, start, halt, k - 1)
+                else:
+                    x = power * a + y
+                    odd += c
+                    even += k
+                    peak = top
+                remaining -= k + c
         else:
             # A fused step: 3x+1 when x is odd, then the halvings the budget allows.
             if x & 1:

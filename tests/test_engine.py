@@ -1,6 +1,7 @@
 """Engine tests: the stepping kernel must agree with a naive stepper everywhere."""
 
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,9 +57,10 @@ def result_fields(result: PathResult) -> tuple[int, int, int, int]:
 BLOCK = engine_module._BLOCK
 
 # The kernel jumps k = min(bits - 64, budget) // 2 shortcut steps, rounded
-# down to a multiple of 8, whenever k is positive, and takes fused steps
-# otherwise: starts of JUMP_MIN_BITS or more, with budgets of 16 or more,
-# jump.  A jump of more than BLOCK steps recurses, from RECURSIVE_MIN_BITS.
+# down to a multiple of 8, whenever k is positive (or runs, when those k
+# low bits are all ones), and takes fused steps otherwise: starts of
+# JUMP_MIN_BITS or more, with budgets of 16 or more, jump.  A jump of more
+# than BLOCK steps recurses, from RECURSIVE_MIN_BITS.
 JUMP_MIN_BITS = 64 + 16
 RECURSIVE_MIN_BITS = 64 + 2 * (BLOCK + 8)
 
@@ -531,3 +533,154 @@ def test_advance_budgets_that_split_wide_jumps_match_naive(x, budgets):
 def test_advance_concatenates_across_wide_jumps(x, a, b):
     s0 = initial_state(x)
     assert advance(advance(s0, a), b) == advance(s0, a + b)
+
+
+# The run move: when the window the next jump would read is all one bits,
+# the kernel takes the climb in one power, T**t(2**t * m - 1) = 3**t * m - 1.
+# A start 2**t * m - 1 with m odd has exactly t trailing one bits.
+
+
+def run_start(t: int, m: int) -> int:
+    return ((m | 1) << t) - 1
+
+
+def run_starts(widths: list[int]):
+    # t around the width k of path_length's first window, and at 2 and 3
+    # times it; with t near k, m makes the start 2k + 64 bits wide, so that
+    # the first window is about k bits.
+    def around(k: int, ratio: int, jitter: int):
+        t = max(1, ratio * k + jitter)
+        m_bits = max(1, 2 * k + 64 - t)
+        return st.integers(1 << (m_bits - 1), (1 << m_bits) - 1).map(lambda m: run_start(t, m))
+
+    return st.tuples(
+        st.sampled_from(widths), st.sampled_from([1, 2, 3]), st.integers(-8, 8)
+    ).flatmap(lambda drawn: around(*drawn))
+
+
+run_sized_starts = run_starts([8, 16, 64, BLOCK, 2 * BLOCK])
+# Odd and even budgets from below one window to a few times the widest run.
+run_budgets = st.one_of(st.integers(0, 48), st.integers(0, 8 * BLOCK))
+
+
+def spying(name: str):
+    # Counts the calls of an engine function, recursive calls included.
+    return mock.patch.object(engine_module, name, wraps=getattr(engine_module, name))
+
+
+@given(run_sized_starts)
+def test_path_length_matches_naive_on_run_starts(x):
+    assert result_fields(path_length(x)) == naive_path_length(x)
+
+
+@given(run_sized_starts, st.lists(run_budgets, min_size=1, max_size=5))
+def test_advance_budgets_that_cut_runs_match_naive(x, budgets):
+    assert_budgets_match_naive(x, budgets)
+
+
+@given(run_sized_starts, st.integers(0, 40))
+def test_raw_advance_through_one_from_run_starts(x, extra):
+    steps = naive_path_length(x)[0] + extra
+    assert state_fields(raw_advance(initial_state(x), steps)) == naive_partial(x, steps, halt=False)
+
+
+@pytest.mark.parametrize("t", [BLOCK - 8, BLOCK, BLOCK + 8, 2 * BLOCK, 3 * BLOCK])
+def test_budgets_cut_a_run_exactly(t):
+    # The run takes at most half the budget in odd steps, so a budget below
+    # 2t, or an odd one, ends inside the run or on its last 3x+1.
+    x = run_start(t, (1 << 300) + 12345)
+    for budget in (1, 16, t, t + 1, 2 * t - 1, 2 * t, 2 * t + 1, 3 * t):
+        assert state_fields(advance(initial_state(x), budget)) == naive_partial(x, budget)
+    assert_budgets_match_naive(x, [t | 1, t | 1, 2 * t - 1, 17, 10**9])
+    with spying("_climb") as climb:
+        advance(initial_state(x), 2 * t)
+    assert [call.args[1] for call in climb.call_args_list] == [t]
+
+
+@pytest.mark.parametrize("t", [BLOCK, 3 * BLOCK])
+def test_run_peak_against_a_carried_peak(t):
+    # One run move of t steps; its last 3x+1 is twice the value it ends on,
+    # so a carried peak one below that bit length must still be beaten.
+    x = run_start(t, (1 << 300) + 12345)
+    value, steps, odd, even, top = naive_partial(x, 2 * t)
+    assert top == value.bit_length() + 1
+    for carried in (top - 1, top, top + 1):
+        state = IterationState(current=x, peak_bit_length=carried)
+        got = advance(state, 2 * t)
+        assert state_fields(got) == (value, steps, odd, even, max(carried, top))
+
+
+def test_cycle_guard_trips_inside_a_run():
+    t = 2 * BLOCK
+    x = run_start(t, (1 << 300) + 12345)
+    d = naive_path_length(x)[0]
+    assert path_length(x, cycle_guard=d).d == d
+    trips = [
+        lambda guard: path_length(x, cycle_guard=guard),
+        lambda guard: advance(initial_state(x), 10**6, cycle_guard=guard),
+        lambda guard: raw_advance(initial_state(x), d, cycle_guard=guard),
+    ]
+    for trip in trips:
+        for guard in (1, t, 2 * t - 1):
+            with pytest.raises(CycleGuardExceeded) as excinfo:
+                trip(guard)
+            assert (excinfo.value.start, excinfo.value.limit) == (x, guard)
+
+
+@pytest.mark.parametrize("widest", [16, 100, BLOCK])
+def test_runs_respect_a_finite_widest(widest):
+    t = 3 * BLOCK
+    x = run_start(t, (1 << 300) + 12345)
+    d, odd, even, peak = naive_path_length(x)
+    with spying("_climb") as climb:
+        got = engine_module._walk(x, 0, 0, x.bit_length(), d + 1, d, x, True, widest)
+    assert got == (1, odd, even, peak)
+    runs = [call.args[1] for call in climb.call_args_list]
+    assert runs and max(runs) <= widest
+
+
+def ones_then_halvings(ones: int, near: int) -> int:
+    # The start (a << ones) | (2**ones - 1), with a + 1 near `near` and
+    # 3**ones * (a + 1) = 1 mod 256: its climb ends on a multiple of 256, so
+    # the 8 steps after it halve and the climb's last 3x+1 stays the highest
+    # value of a jump of ones + 8 steps, whose window reaches into a.  a is
+    # even, so that window is not all one bits.
+    a1 = near - (near - pow(3, -ones, 256)) % 256
+    return ((a1 - 1) << ones) | ((1 << ones) - 1)
+
+
+@pytest.mark.parametrize("ones", [BLOCK - 8, 4 * BLOCK])
+@pytest.mark.parametrize("above", [False, True])
+def test_jump_past_the_ones_replays_a_near_tie(ones, above):
+    # A jump of k = ones + 8 steps, one leaf or recursive, climbs to
+    # 2 * (3**ones * (a + 1) - 1) and then halves.  With 3**ones * (a + 1)
+    # just above or just below 2**top, the estimate of that bit length lies
+    # within rounding of an integer, so the kernel must replay the jump.
+    k = ones + 8
+    top = 3 * ones + 200
+    if above:
+        x = ones_then_halvings(ones, -(-(1 << top) // 3**ones) + 255)
+    else:
+        x = ones_then_halvings(ones, (1 << top) // 3**ones)
+    assert (3**ones * ((x >> ones) + 1) > 1 << top) == above
+    with spying("_walk") as walk:
+        got = advance(initial_state(x), 2 * k)
+    assert walk.call_count >= 2
+    assert state_fields(got) == naive_partial(x, 2 * k)
+    assert result_fields(path_length(x)) == naive_path_length(x)
+
+
+@pytest.mark.parametrize("ones", [BLOCK - 8, 4 * BLOCK])
+def test_jump_past_the_ones_against_a_carried_peak(ones):
+    # The jump's climb ends within a few bits of the bound that decides
+    # whether a leaf tracks its excursion, so a carried peak just below its
+    # highest 3x+1 must still be beaten.
+    k = ones + 8
+    x = ones_then_halvings(ones, (1 << (k + 300)) + 12345)
+    value, steps, odd, even, top = naive_partial(x, 2 * k)
+    with spying("_jump") as jump:
+        for carried in (top - 1, top, top + 1):
+            state = IterationState(current=x, peak_bit_length=carried)
+            got = advance(state, 2 * k)
+            assert state_fields(got) == (value, steps, odd, even, max(carried, top))
+    assert jump.called
