@@ -7,9 +7,11 @@ seconds together, and -m long adds ranks 32..35 (about 15 s).  Ranks
 36..47 take from a quarter of a minute to a quarter of an hour each and
 stand as unverified reference data.
 
-Also houses the primality utilities the survey sets are built from: a
-deterministic Miller-Rabin below 2**64 and the Lucas-Lehmer test for
-Mersenne numbers themselves.
+The catalog's rules live here alone: catalog_entries(from_rank, to_rank)
+is the package's one check of a rank range, and primes_from its one walk
+to nearby primes (next_prime, set A and the prime windows of a scan).
+Both rest on a deterministic Miller-Rabin below 2**64; the Lucas-Lehmer
+test checks the Mersenne numbers themselves.
 """
 
 from __future__ import annotations
@@ -106,9 +108,19 @@ def catalog_entry(k: int) -> CatalogEntry:
     return _ENTRIES[k - 1]
 
 
-def catalog_entries() -> tuple[CatalogEntry, ...]:
-    """All 47 rows in rank order."""
-    return _ENTRIES
+def catalog_entries(from_rank: int = 1, to_rank: int = CATALOG_SIZE) -> tuple[CatalogEntry, ...]:
+    """The rows of ranks from_rank..to_rank inclusive, in rank order; all 47 by default.
+
+    Raises RangeError unless 1 <= from_rank <= to_rank <= 47.
+    """
+    from_rank = checked_int(from_rank, "from_rank")
+    to_rank = checked_int(to_rank, "to_rank")
+    if not 1 <= from_rank <= to_rank <= CATALOG_SIZE:
+        raise RangeError(
+            f"ranks must satisfy 1 <= from <= to <= {CATALOG_SIZE}, "
+            f"got {int_text(from_rank, 'rank')}..{int_text(to_rank, 'rank')}"
+        )
+    return _ENTRIES[from_rank - 1 : to_rank]
 
 
 _U64_LIMIT = 1 << 64
@@ -151,18 +163,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def primes_from(start: int, count: int, stride: int, step: int) -> list[int]:
+    """The first count of every stride-th prime met walking from start
+    (excluded) by step, +1 or -1; the walk down stops at 2, and a walk
+    reaching 2**64 raises RangeError (is_prime's limit)."""
+    start = checked_int(start, "start", 1)
+    count = checked_int(count, "count", 0)
+    stride = checked_int(stride, "stride", 1)
+    step = checked_int(step, "step")
+    if step not in (1, -1):
+        raise DomainError(f"step must be 1 or -1, got {int_text(step, 'value')}")
+    found: list[int] = []
+    position = 0
+    n = start + step
+    while len(found) < count and n >= 2:
+        if is_prime(n):
+            position += 1
+            if position % stride == 0:
+                found.append(n)
+        n += step
+    return found
+
+
 def next_prime(n: int) -> int:
     """Smallest prime strictly greater than n."""
-    n = checked_int(n, "n", 1)
-    candidate = n + 1
-    if candidate <= 2:
-        return 2
-    candidate |= 1
-    while candidate < _U64_LIMIT:
-        if is_prime(candidate):
-            return candidate
-        candidate += 2
-    raise RangeError("next prime would exceed 2**64")
+    return primes_from(checked_int(n, "n", 1), 1, 1, 1)[0]
 
 
 def lucas_lehmer(p: int) -> bool:

@@ -14,12 +14,7 @@ import sys
 from csv import QUOTE_MINIMAL, writer as csv_writer
 from typing import TextIO
 
-from .catalog import (
-    CATALOG_SIZE,
-    catalog_entries,
-    catalog_entry,
-    lucas_lehmer,
-)
+from .catalog import catalog_entries, lucas_lehmer
 from .checkpoint import checkpoint_read, checkpoint_write
 from .engine import (
     DEFAULT_CYCLE_GUARD,
@@ -93,10 +88,10 @@ def parse_rank_range(text: str) -> tuple[int, int]:
     if not sep or not first.isdigit() or not second.isdigit():
         raise _UsageError(f"--ranks expects A..B with decimal ranks, got {text!r}")
     low, high = int(first), int(second)
-    if not (1 <= low <= high <= CATALOG_SIZE):
-        raise _UsageError(
-            f"ranks must satisfy 1 <= A <= B <= {CATALOG_SIZE}, got {text!r}"
-        )
+    try:
+        catalog_entries(low, high)
+    except RangeError as exc:
+        raise _UsageError(str(exc)) from None
     return low, high
 
 
@@ -164,8 +159,7 @@ def _cmd_catalog(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
-    low, high = parse_rank_range(args.ranks)
-    rows = [catalog_entry(k) for k in range(low, high + 1)]
+    rows = catalog_entries(*parse_rank_range(args.ranks))
     d_values = mersenne_path_lengths([e.exponent for e in rows], args.jobs, args.cycle_guard)
     w = _make_writer(args, out)
     w.writerow(["rank", "exponent", "reference_d", "computed_d", "match"])

@@ -72,13 +72,14 @@ class NumberExpression:
 
     def canonical(self) -> str:
         """The shortest spelling; re-parsing it yields an equal expression."""
+        digits = decimal_text(self.parameter)
         if self.kind is ExpressionKind.DECIMAL:
-            return decimal_text(self.parameter)
+            return digits
         if self.kind is ExpressionKind.POWER_OF_TWO:
-            return f"2^{self.parameter}"
+            return "2^" + digits
         if self.kind is ExpressionKind.MERSENNE_BY_EXPONENT:
-            return f"M{self.parameter}"
-        return f"Mp{self.parameter}"
+            return "M" + digits
+        return "Mp" + digits
 
     def mersenne_exponent(self) -> int | None:
         """The exponent n when this names 2**n - 1, else None."""

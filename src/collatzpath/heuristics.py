@@ -6,8 +6,9 @@ start N needs about ln N / ln(4/3) rounds of 3 steps each.  That gives the
 drift constant c0 = 3 / ln(4/3).
 
 A Mersenne start 2**n - 1 is special: it first climbs to 3**n - 1 in
-exactly 2n steps (verified here, not assumed), and from there the random
-heuristic applies with ln(3**n) = n ln 3.  Stacking the two regimes yields
+exactly 2n steps (the test suite walks this one rule at a time for n up
+to 200), and from there the random heuristic applies with
+ln(3**n) = n ln 3.  Stacking the two regimes yields
 
     D(2**n - 1)  ~  2n + c0 * n * ln 3  =  (2 + c0 ln 3) * n  ~  13.45652 n
 
@@ -78,11 +79,14 @@ def mersenne_heuristic(n: int) -> float:
 
 
 def verify_transit_lemma(n: int) -> bool:
-    """Check that 2**n - 1 reaches 3**n - 1 after exactly 2n steps.
+    """Check that the engine takes 2**n - 1 to 3**n - 1 in exactly 2n steps.
 
     Also checks the intermediate landmark: after the first two steps the
     value is 3 * 2**(n-1) - 1 (for n >= 2).  Uses the non-halting stepper,
-    since for n = 1 the path runs through 1 itself.
+    since for n = 1 the path runs through 1 itself.  That stepper takes a
+    long run of trailing one bits by the closed form of this very lemma, so
+    this checks the engine against the lemma, not the lemma itself; the
+    test suite's one-rule-at-a-time walk is the independent check.
     """
     n = checked_int(n, "n", 1)
     state = initial_state((1 << n) - 1)

@@ -13,6 +13,9 @@ here builds five 13-element index sets and compares their ratio spread:
 index_set(label, from_rank, to_rank) is the one place a label and its rank
 bounds become a row, and reference_d(rows) the one place a row finds its
 reference path lengths, so statistics on the default rows are instant.
+The catalog's rules stay in catalog: rank bounds are checked by
+catalog_entries alone, and set A and the prime windows of scan_ratios
+walk to their primes with primes_from.
 Sets C and D were hand-selected rather than generated by a fixed rule, so
 they ship as verbatim fixtures; best-effort generators for their selection
 idea are provided alongside.  The test suite recomputes the rows of sets A
@@ -28,14 +31,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .catalog import (
-    CATALOG_SIZE,
-    catalog_entries,
-    catalog_entry,
-    is_prime,
-    mersenne_number,
-    next_prime,
-)
+from .catalog import catalog_entries, is_prime, mersenne_number, next_prime, primes_from
 from .engine import DEFAULT_CYCLE_GUARD, path_length
 from .errors import (
     CollatzPathError,
@@ -112,14 +108,7 @@ class ScanRecord:
 
 def mersenne_set(from_rank: int = 26, to_rank: int = 38) -> IndexSet:
     """Catalog exponents for ranks from_rank..to_rank inclusive."""
-    from_rank = checked_int(from_rank, "from_rank")
-    to_rank = checked_int(to_rank, "to_rank")
-    if not (1 <= from_rank <= to_rank <= CATALOG_SIZE):
-        raise RangeError(
-            f"ranks must satisfy 1 <= from <= to <= {CATALOG_SIZE}, "
-            f"got {int_text(from_rank, 'rank')}..{int_text(to_rank, 'rank')}"
-        )
-    indices = tuple(catalog_entry(k).exponent for k in range(from_rank, to_rank + 1))
+    indices = tuple(e.exponent for e in catalog_entries(from_rank, to_rank))
     return IndexSet(label=SetLabel.MERSENNE, indices=indices, provenance=Provenance.FIXTURE)
 
 
@@ -137,15 +126,10 @@ def generate_set_B(from_rank: int = 25, to_rank: int = 38) -> IndexSet:
     ranks 25 and 38.  Every midpoint in that range is exact (the sums are
     all even), which the test suite asserts rather than assumes.
     """
-    from_rank = checked_int(from_rank, "from_rank")
-    to_rank = checked_int(to_rank, "to_rank")
-    if not (1 <= from_rank < to_rank <= CATALOG_SIZE):
-        raise RangeError(
-            f"need at least two ranks inside [1, {CATALOG_SIZE}], "
-            f"got {int_text(from_rank, 'rank')}..{int_text(to_rank, 'rank')}"
-        )
-    exponents = [catalog_entry(k).exponent for k in range(from_rank, to_rank + 1)]
-    indices = tuple((a + b) // 2 for a, b in zip(exponents, exponents[1:]))
+    rows = catalog_entries(from_rank, to_rank)
+    if len(rows) < 2:
+        raise RangeError(f"need at least two ranks, got only rank {rows[0].rank}")
+    indices = tuple((a.exponent + b.exponent) // 2 for a, b in zip(rows, rows[1:]))
     return IndexSet(label=SetLabel.B, indices=indices, provenance=Provenance.GENERATED)
 
 
@@ -288,26 +272,11 @@ def reference_pairs(label: SetLabel) -> tuple[tuple[int, int], ...]:
     return reference_d(index_set(label))
 
 
-def _primes_from(start: int, count: int, stride: int, step: int) -> list[int]:
-    """The first count of every stride-th prime met walking from start
-    (excluded) by step, +1 or -1; the walk down stops at 2."""
-    found: list[int] = []
-    position = 0
-    n = start + step
-    while len(found) < count and n >= 2:
-        if is_prime(n):
-            position += 1
-            if position % stride == 0:
-                found.append(n)
-        n += step
-    return found
-
-
 def _scan_exponents(center: int, count_each_side: int, stride: int, primes_only: bool) -> list[int]:
     if primes_only:
-        below = _primes_from(center, count_each_side, stride, -1)
+        below = primes_from(center, count_each_side, stride, -1)
         middle = [center] if is_prime(center) else []
-        return below[::-1] + middle + _primes_from(center, count_each_side, stride, 1)
+        return below[::-1] + middle + primes_from(center, count_each_side, stride, 1)
     below = [center - j * stride for j in range(count_each_side, 0, -1)]
     above = [center + j * stride for j in range(1, count_each_side + 1)]
     return [n for n in below if n >= 2] + [center] + above

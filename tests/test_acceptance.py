@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from conftest import naive_path_length
+from conftest import naive_path_length, naive_step
 
 from collatzpath import (
     MERSENNE_SLOPE,
@@ -193,7 +193,15 @@ def test_criterion_06_transit_lemma(criterion):
                 assert landmark.current == 3 * (1 << (n - 1)) - 1, n
             assert raw_advance(state, 2 * n).current == 3**n - 1, n
             assert verify_transit_lemma(n), n
-        return "n in 1..200"
+            # The engine takes the climb by this very closed form; one rule
+            # at a time is the independent check.
+            x = (1 << n) - 1
+            for step in range(1, 2 * n + 1):
+                x = naive_step(x)
+                if step == 2:
+                    assert x == 3 * (1 << (n - 1)) - 1, n
+            assert x == 3**n - 1, n
+        return "n in 1..200, by the engine and one rule at a time"
 
     criterion(6, "2^n-1 reaches 3^n-1 after exactly 2n steps", check)
 

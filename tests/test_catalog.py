@@ -17,6 +17,7 @@ from collatzpath import (
     mersenne_number,
     next_prime,
     path_length,
+    primes_from,
 )
 
 
@@ -56,6 +57,23 @@ def test_catalog_shape():
         assert a.exponent < b.exponent
     for e in entries:
         assert abs(e.reference_d / e.exponent - e.reference_ratio) < 1e-3
+
+
+def test_catalog_entries_slices_every_valid_range():
+    for a in range(1, 48):
+        for b in range(a, 48):
+            assert list(catalog_entries(a, b)) == [catalog_entry(k) for k in range(a, b + 1)]
+    assert catalog_entries() == catalog_entries(1, 47)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(0, 3), (0, 47), (1, 48), (47, 48), (0, 0), (48, 48), (-1, 5),
+     (7, 5), (2, 1), (47, 46), (47, 1), (48, 47)],
+)
+def test_catalog_entries_range_errors(bounds):
+    with pytest.raises(RangeError, match=r"^ranks must satisfy 1 <= from <= to <= 47, got "):
+        catalog_entries(*bounds)
 
 
 def test_catalog_exponents_are_prime():
@@ -152,6 +170,40 @@ def test_next_prime_gaps_are_empty(rng):
         assert p > n and trial_division_is_prime(p)
         for q in range(n + 1, p):
             assert not trial_division_is_prime(q)
+
+
+def _next_prime_by_odd_candidates(n):
+    # The walk next_prime made before it went through primes_from.
+    candidate = n + 1
+    if candidate <= 2:
+        return 2
+    candidate |= 1
+    while not is_prime(candidate):
+        candidate += 2
+    return candidate
+
+
+def test_next_prime_matches_the_odd_candidate_walk(rng):
+    starts = [rng.randrange(1, 10**6) for _ in range(300)]
+    starts += [rng.randrange(1, 2**63) for _ in range(100)]
+    starts += [rng.randrange(2**64 - 10**4, 2**64 - 59) for _ in range(20)]
+    for n in [1, 2, 3, 4] + starts:
+        assert next_prime(n) == _next_prime_by_odd_candidates(n), n
+
+
+@pytest.mark.parametrize("step", [0, 2, -2])
+def test_primes_from_walks_by_one(step):
+    with pytest.raises(DomainError, match=f"^step must be 1 or -1, got {step}$"):
+        primes_from(10, 1, 1, step)
+
+
+def test_primes_from_stops_at_the_ends():
+    assert primes_from(20, 10, 1, -1) == [19, 17, 13, 11, 7, 5, 3, 2]
+    assert primes_from(2, 3, 1, -1) == []
+    assert primes_from(1, 3, 1, 1) == [2, 3, 5]
+    assert primes_from(100, 0, 1, 1) == []
+    with pytest.raises(RangeError):
+        primes_from(2**64 - 59, 1, 1, 1)
 
 
 def test_next_prime_limits():

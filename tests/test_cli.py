@@ -116,6 +116,16 @@ def test_parse_rank_range():
             parse_rank_range(bad)
 
 
+@pytest.mark.parametrize("ranks", ["0..3", "1..48", "7..5"])
+def test_verify_rank_range_outside_the_catalog(capsys, ranks):
+    code, out, err = run_cli(capsys, "verify", "--ranks", ranks, "--jobs", "1")
+    assert code == 2 and out == ""
+    low, high = ranks.split("..")
+    assert err == (
+        f"collatzpath: usage error: ranks must satisfy 1 <= from <= to <= 47, got {low}..{high}\n"
+    )
+
+
 def test_verify_fast_ranks(capsys):
     code, out, _ = run_cli(capsys, "verify", "--ranks", "1..12", "--jobs", "1")
     assert code == 0
@@ -128,7 +138,7 @@ def test_verify_fast_ranks(capsys):
 
 def test_verify_flags_a_mismatch(capsys, monkeypatch):
     planted = CatalogEntry(rank=1, exponent=2, reference_d=999, reference_ratio=3.5)
-    monkeypatch.setattr("collatzpath.cli.catalog_entry", lambda k: planted)
+    monkeypatch.setattr("collatzpath.cli.catalog_entries", lambda low, high: (planted,))
     code, out, _ = run_cli(capsys, "verify", "--ranks", "1..1", "--jobs", "1")
     assert code == 1
     row = rows(out)[1]

@@ -17,6 +17,7 @@ from collatzpath import (
     RangeError,
     SetLabel,
     advance,
+    catalog_entries,
     catalog_entry,
     collatz_next,
     fit_line_indices,
@@ -32,6 +33,7 @@ from collatzpath import (
     next_prime,
     odd_step_accelerated,
     path_length,
+    primes_from,
     ratio_stats,
     raw_advance,
     scan_ratios,
@@ -59,6 +61,12 @@ ENTRY_POINTS = {
     "is_prime": is_prime,
     "next_prime": next_prime,
     "catalog_entry": catalog_entry,
+    "catalog_entries.from_rank": lambda v: catalog_entries(v, 3),
+    "catalog_entries.to_rank": lambda v: catalog_entries(1, v),
+    "primes_from.start": lambda v: primes_from(v, 1, 1, 1),
+    "primes_from.count": lambda v: primes_from(10, v, 1, 1),
+    "primes_from.stride": lambda v: primes_from(10, 1, v, 1),
+    "primes_from.step": lambda v: primes_from(10, 1, 1, v),
     "lucas_lehmer": lucas_lehmer,
     "mersenne_heuristic": mersenne_heuristic,
     "verify_transit_lemma": verify_transit_lemma,

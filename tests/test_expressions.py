@@ -161,3 +161,16 @@ def test_decimals_past_the_digit_limit_round_trip(digits):
     assert decimal_text(expr.parameter) == text
     spaced = parse_expression("_".join(text[i : i + 3] for i in range(0, digits, 3)))
     assert spaced == expr
+
+
+@pytest.mark.parametrize("kind", list(ExpressionKind), ids=lambda kind: kind.value)
+def test_every_kind_spells_a_parameter_past_the_digit_limit(kind):
+    expr = NumberExpression(kind, 10**5000)
+    assert expr.source_text == expr.canonical()
+    assert expr.canonical().endswith("1" + "0" * 5000)
+    assert parse_expression(expr.canonical()) == expr
+
+
+def test_a_parsed_power_past_the_digit_limit_spells_itself():
+    text = "2^" + "1" * 5000
+    assert parse_expression(text).canonical() == text

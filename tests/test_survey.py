@@ -33,6 +33,7 @@ from collatzpath import (
     reference_pairs,
     scan_ratios,
 )
+from collatzpath.catalog import primes_from
 from collatzpath.survey import _scan_exponents
 
 MID_RANGE_EXPONENTS = (
@@ -111,6 +112,16 @@ def test_set_b_edges():
         generate_set_B(5, 5)
     with pytest.raises(RangeError):
         generate_set_B(0, 3)
+
+
+def test_set_b_range_errors():
+    # Bounds are catalog_entries' check; only the two-rank rule is set B's.
+    with pytest.raises(RangeError, match=r"^ranks must satisfy 1 <= from <= to <= 47, got 10\.\.9$"):
+        generate_set_B(10, 9)
+    with pytest.raises(RangeError, match=r"^ranks must satisfy 1 <= from <= to <= 47, got 40\.\.48$"):
+        generate_set_B(40, 48)
+    with pytest.raises(RangeError, match="^need at least two ranks, got only rank 5$"):
+        generate_set_B(5, 5)
 
 
 def test_fixture_set_c_doubles_catalog_exponents():
@@ -345,6 +356,8 @@ def test_prime_window_matches_a_sieve(center, count, stride):
     above = [p for p in _PRIMES if p > center][stride - 1 :: stride][:count]
     assert len(above) == count  # the sieve reaches past the window
     middle = [center] if _SIEVE[center] else []
+    assert primes_from(center, count, stride, -1) == below
+    assert primes_from(center, count, stride, 1) == above
     assert _scan_exponents(center, count, stride, True) == below[::-1] + middle + above
 
 
