@@ -95,9 +95,17 @@ _ENTRIES = tuple(CatalogEntry(*row) for row in _ROWS)
 
 
 def mersenne_number(n: int) -> int:
-    """2**n - 1; the result has bit length exactly n."""
+    """2**n - 1; the result has bit length exactly n.
+
+    Raises RangeError for an n too large for Python's int to hold 2**n.
+    """
     n = checked_int(n, "n", 1)
-    return (1 << n) - 1
+    try:
+        return (1 << n) - 1
+    except OverflowError:
+        raise RangeError(
+            f"n is too large for 2**n - 1 to be an int, got {int_text(n, 'value')}"
+        ) from None
 
 
 def catalog_entry(k: int) -> CatalogEntry:
@@ -199,7 +207,7 @@ def lucas_lehmer(p: int) -> bool:
     half back in, using 2**p = 1 (mod m).
     """
     p = checked_int(p, "p")
-    if not p & 1 or not is_prime(p):
+    if p < 3 or not p & 1 or not is_prime(p):
         raise DomainError(f"p must be an odd prime, got {int_text(p, 'value')}")
     m = (1 << p) - 1
     s = 4

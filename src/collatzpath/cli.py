@@ -3,7 +3,14 @@
 Every analysis the library performs is reachable here, and everything is
 emitted as CSV (or TSV) so downstream plotting is two columns away.  Exit
 codes: 0 success, 1 verification mismatch, 2 usage or expression parse
-error, 3 runtime failure (guard trips, checkpoint damage, I/O).
+error, 3 runtime failure (guard trips, checkpoint damage, I/O), 130
+interrupted (Ctrl-C), reported in one line.
+
+Every number typed here is read in the notation's decimal form
+(expressions.parse_decimal): each integer option, the lucas-lehmer
+exponent and both halves of --ranks.  A sign, whitespace or another
+script's digits is a usage error.  Rank bounds are checked by the catalog
+alone (catalog_entries), for --ranks and the stats bounds alike.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .engine import (
     trace,
 )
 from .errors import CollatzPathError, OriginMismatch, ParseError, RangeError
-from .expressions import NumberExpression, decimal_text, parse_expression
+from .expressions import NumberExpression, decimal_text, parse_decimal, parse_expression
 from .heuristics import fit_loglog, mersenne_heuristic
 from .survey import (
     SetLabel,
@@ -42,6 +49,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+EXIT_INTERRUPTED = 130
 
 # Above this exponent a recomputation stops being an interactive wait:
 # D(2**n - 1) takes about 6 s at n = 3M and 21 s at n = 7M on one core of
@@ -53,14 +61,16 @@ class _UsageError(Exception):
     """Flag combinations argparse cannot catch on its own."""
 
 
-def _int_at_least(minimum: int):
+def _int_at_least(minimum: int = 0):
+    # The decimal form has no sign, so the default minimum checks nothing.
     def parse(text: str) -> int:
-        value = int(text)
+        value = parse_decimal(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}")
         return value
 
-    # argparse names the type in its "invalid int value: ..." message.
+    # argparse names the type in its "invalid int value: ..." message,
+    # which it prints for the ParseError (a ValueError) of a bad decimal.
     parse.__name__ = "int"
     return parse
 
@@ -84,10 +94,11 @@ def _make_writer(args: argparse.Namespace, out: TextIO):
 
 def parse_rank_range(text: str) -> tuple[int, int]:
     """Parse 'A..B' into an inclusive catalog rank range."""
-    first, sep, second = text.partition("..")
-    if not sep or not first.isdigit() or not second.isdigit():
-        raise _UsageError(f"--ranks expects A..B with decimal ranks, got {text!r}")
-    low, high = int(first), int(second)
+    first, _, second = text.partition("..")
+    try:
+        low, high = parse_decimal(first), parse_decimal(second)
+    except ParseError:
+        raise _UsageError(f"--ranks expects A..B with decimal ranks, got {text!r}") from None
     try:
         catalog_entries(low, high)
     except RangeError as exc:
@@ -269,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N", help="steps between checkpoint writes (default 10^7)",
     )
     p.add_argument(
-        "--trace-limit", type=_int_at_least(0), metavar="K",
+        "--trace-limit", type=_int_at_least(), metavar="K",
         help="also emit the first K visited values",
     )
     p.set_defaults(handler=_cmd_pathlen)
@@ -284,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", parents=[common], help="D and D/n over a window of exponents")
     p.add_argument("--center", type=_int_at_least(2), required=True, metavar="N")
-    p.add_argument("--each-side", type=_int_at_least(0), default=25, metavar="C")
+    p.add_argument("--each-side", type=_int_at_least(), default=25, metavar="C")
     p.add_argument("--stride", type=_int_at_least(1), default=5, metavar="S")
     p.add_argument("--primes-only", action="store_true")
     p.set_defaults(handler=_cmd_scan)
@@ -292,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", parents=[common], help="ratio statistics for a comparison set")
     p.add_argument("--set", required=True, choices=[label.value for label in SetLabel],
                    dest="set_label")
-    p.add_argument("--from-rank", type=_int_at_least(1), metavar="K")
-    p.add_argument("--to-rank", type=_int_at_least(1), metavar="L")
+    p.add_argument("--from-rank", type=_int_at_least(), metavar="K")
+    p.add_argument("--to-rank", type=_int_at_least(), metavar="L")
     p.add_argument(
         "--recompute", action="store_true",
         help="measure D with the engine instead of using reference values",
@@ -308,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_heuristic)
 
     p = sub.add_parser("lucas-lehmer", parents=[common], help="primality of 2^p - 1")
-    p.add_argument("p", type=int)
+    p.add_argument("p", type=_int_at_least())
     p.set_defaults(handler=_cmd_lucas_lehmer)
 
     return parser
@@ -322,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.handler(args, sys.stdout)
+    except KeyboardInterrupt:
+        print("collatzpath: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except ParseError as exc:
         print(f"collatzpath: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,6 +10,10 @@ Users name a start value without materializing its digits:
 
 No whitespace, no signs, ASCII digits only.  Parse failures carry the
 offset of the first offending character and what was expected there.
+
+The decimal form is the package's one grammar for a number typed as
+text: parse_decimal reads a whole string in it, and the command line reads
+every integer option, and both halves of a rank range, through it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .catalog import catalog_entry, mersenne_number
-from .errors import DomainError, ParseError, checked_int
+from .errors import DomainError, ParseError, RangeError, checked_int, int_text
 
 
 # Python refuses str(int) and int(str) past a digit limit (4300 by default,
@@ -92,14 +96,21 @@ class NumberExpression:
     def resolve(self) -> int:
         """The integer value this expression names.
 
-        Raises DomainError for M0 and RangeError for a rank outside the
-        catalog; parsing alone never validates those, so an expression can
-        be inspected without being resolvable.
+        Raises DomainError for M0, and RangeError for a rank outside the
+        catalog or an exponent too large for Python's int; parsing alone
+        never validates those, so an expression can be inspected without
+        being resolvable.
         """
         if self.kind is ExpressionKind.DECIMAL:
             return self.parameter
         if self.kind is ExpressionKind.POWER_OF_TWO:
-            return 1 << self.parameter
+            try:
+                return 1 << self.parameter
+            except OverflowError:
+                raise RangeError(
+                    f"exponent is too large for 2**n to be an int, "
+                    f"got {int_text(self.parameter, 'value')}"
+                ) from None
         if self.kind is ExpressionKind.MERSENNE_BY_EXPONENT:
             return mersenne_number(self.parameter)
         return mersenne_number(catalog_entry(self.parameter).exponent)
@@ -133,6 +144,21 @@ def _scan_decimal(text: str, start: int) -> tuple[int, int]:
         else:
             break
     return _decimal_value("".join(digits)), i
+
+
+def parse_decimal(text: str) -> int:
+    """The value of a whole string in the decimal form, at any length.
+
+    ASCII digits with '_' only between two of them; anything else (a sign,
+    whitespace, another script's digits, empty text) raises ParseError
+    with the offset of the first offending character.
+    """
+    if not isinstance(text, str):
+        raise DomainError(f"text must be a string, got {type(text).__name__}")
+    value, end = _scan_decimal(text, 0)
+    if end != len(text):
+        raise ParseError(text, end, "end of input")
+    return value
 
 
 def parse_expression(text: str) -> NumberExpression:

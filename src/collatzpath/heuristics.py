@@ -74,8 +74,15 @@ def heuristic_path_length(ln_n: float) -> float:
 
 
 def mersenne_heuristic(n: int) -> float:
-    """Estimated D(2**n - 1) = (2 + c0 ln 3) * n."""
-    return MERSENNE_SLOPE * checked_int(n, "n", 1)
+    """Estimated D(2**n - 1) = (2 + c0 ln 3) * n.
+
+    Raises RangeError for an n too large to be a float.
+    """
+    n = checked_int(n, "n", 1)
+    try:
+        return MERSENNE_SLOPE * n
+    except OverflowError:
+        raise RangeError(f"n must fit a float, got {int_text(n, 'value')}") from None
 
 
 def verify_transit_lemma(n: int) -> bool:

@@ -286,17 +286,32 @@ def _mersenne_d(n: int, cycle_guard: int) -> int:
     return path_length(mersenne_number(n), cycle_guard=cycle_guard).d
 
 
-def _compute_share(exponents: Sequence[int], cycle_guard: int, fd: int) -> None:
+def _exit_at_eof(fd: int) -> None:
+    # Nothing is ever written to the lifeline, so the read returns only at
+    # EOF: when the parent's write end closes, however the parent ended.
+    os.read(fd, 1)
+    os._exit(1)
+
+
+def _compute_share(
+    exponents: Sequence[int], cycle_guard: int, fd: int, lifeline: int, inherited: Sequence[int]
+) -> None:
     """The body of a forked child: one pickled (ok, value) record to the
     pipe fd for each of exponents, in order.  A row that raises sends the
-    exception as its record and ends the share.  The child always leaves by
-    os._exit, so it never flushes stdio buffers copied from its parent and
-    never returns into the caller.
+    exception as its record and ends the share.  The child first closes
+    the inherited descriptors it does not use, then leaves as soon as the
+    lifeline reads EOF, even in the middle of a row, so it never outlives
+    its parent.  The child always leaves by os._exit, so it never flushes
+    stdio buffers copied from its parent and never returns into the caller.
     """
     status = 1
     try:
         import pickle
+        import threading
 
+        for unused in inherited:
+            os.close(unused)
+        threading.Thread(target=_exit_at_eof, args=(lifeline,), daemon=True).start()
         with os.fdopen(fd, "wb") as pipe:
             for n in exponents:
                 try:
@@ -324,8 +339,11 @@ def mersenne_path_lengths(exponents: Sequence[int], jobs: int, cycle_guard: int)
     earlier row has been yielded, as with jobs = 1.  A child that ends
     without sending its row raises CollatzPathError.  When the generator
     finishes, fails or is closed, every child still running is killed and
-    every child is reaped.  Where os.fork is missing, or with one share,
-    this process computes the rows itself.
+    every child is reaped.  When this process ends without that cleanup
+    (SIGKILL, SIGTERM), the write end of a lifeline pipe that only it
+    holds closes, and each child exits on reading EOF there.  Where
+    os.fork is missing, or with one share, this process computes the rows
+    itself.
     """
     jobs = checked_int(jobs, "jobs", 1)
     shares = min(jobs, len(exponents)) if hasattr(os, "fork") else 1
@@ -336,6 +354,7 @@ def mersenne_path_lengths(exponents: Sequence[int], jobs: int, cycle_guard: int)
     import signal
 
     children = {}  # share -> (pid, read end of its pipe)
+    lifeline, lifeline_write = os.pipe()
     try:
         for share in range(shares):
             read_fd, write_fd = os.pipe()
@@ -346,7 +365,9 @@ def mersenne_path_lengths(exponents: Sequence[int], jobs: int, cycle_guard: int)
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _compute_share(exponents[share::shares], cycle_guard, write_fd)
+                inherited = [lifeline_write, read_fd]
+                inherited += [pipe.fileno() for _, pipe in children.values()]
+                _compute_share(exponents[share::shares], cycle_guard, write_fd, lifeline, inherited)
             os.close(write_fd)
             children[share] = (pid, os.fdopen(read_fd, "rb"))
         for i, n in enumerate(exponents):
@@ -369,6 +390,8 @@ def mersenne_path_lengths(exponents: Sequence[int], jobs: int, cycle_guard: int)
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        os.close(lifeline)
+        os.close(lifeline_write)
 
 
 def scan_ratios(

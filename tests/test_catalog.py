@@ -226,11 +226,11 @@ def test_lucas_lehmer_rejects_composite_mersennes(p):
     assert lucas_lehmer(p) is False
 
 
-@pytest.mark.parametrize("p", [2, 1, 0, -7, 4, 9, 15, 1001])
+@pytest.mark.parametrize("p", [2, 1, 0, -7, 4, 9, 15, 1001, -3])
 def test_lucas_lehmer_domain(p):
     # p = 2 is excluded on purpose: the recurrence runs p - 2 rounds, and
     # zero rounds would report s = 4 != 0 even though 3 is prime.
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=f"^p must be an odd prime, got {p}$"):
         lucas_lehmer(p)
 
 

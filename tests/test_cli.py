@@ -23,7 +23,7 @@ from collatzpath import (
     path_length,
     ratio_stats,
 )
-from collatzpath.cli import main, parse_rank_range
+from collatzpath.cli import _UsageError, main, parse_rank_range
 from collatzpath.errors import CollatzPathError
 
 
@@ -111,8 +111,10 @@ def test_parse_rank_range():
     assert parse_rank_range("1..17") == (1, 17)
     assert parse_rank_range("32..47") == (32, 47)
     assert parse_rank_range("5..5") == (5, 5)
-    for bad in ("", "5", "5..", "..7", "7..5", "0..3", "1..48", "a..b", "1-17"):
-        with pytest.raises(Exception):
+    assert parse_rank_range("1_0..12") == (10, 12)
+    for bad in ("", "5", "5..", "..7", "7..5", "0..3", "1..48", "a..b", "1-17",
+                "²..3", "١..٣", "1..٣"):
+        with pytest.raises(_UsageError):
             parse_rank_range(bad)
 
 
@@ -345,6 +347,106 @@ def test_usage_failures(capsys):
     assert run_cli(capsys, "scan")[0] == 2
     assert run_cli(capsys, "heuristic", "--n", "0")[0] == 2
     assert run_cli(capsys, "verify", "--ranks", "1..99")[0] == 2
+
+
+# Each row fails with its exit code and one error line, the last on
+# stderr; argparse prints its usage lines above it.
+ONE_LINE_FAILURES = {
+    "ranks-superscript": (
+        ("verify", "--ranks", "²..3"), 2,
+        "collatzpath: usage error: --ranks expects A..B with decimal ranks, got '²..3'",
+    ),
+    "ranks-arabic-indic": (
+        ("verify", "--ranks", "١..٣"), 2,
+        "collatzpath: usage error: --ranks expects A..B with decimal ranks, got '١..٣'",
+    ),
+    "jobs-arabic-indic": (
+        ("verify", "--ranks", "1..3", "--jobs", "٢"), 2,
+        "collatzpath verify: error: argument --jobs: invalid int value: '٢'",
+    ),
+    "jobs-space": (
+        ("verify", "--ranks", "1..3", "--jobs", " 2"), 2,
+        "collatzpath verify: error: argument --jobs: invalid int value: ' 2'",
+    ),
+    "jobs-plus": (
+        ("verify", "--ranks", "1..3", "--jobs", "+2"), 2,
+        "collatzpath verify: error: argument --jobs: invalid int value: '+2'",
+    ),
+    "heuristic-arabic-indic": (
+        ("heuristic", "--n", "١٠"), 2,
+        "collatzpath heuristic: error: argument --n: invalid int value: '١٠'",
+    ),
+    "lucas-lehmer-arabic-indic": (
+        ("lucas-lehmer", "٧"), 2,
+        "collatzpath lucas-lehmer: error: argument p: invalid int value: '٧'",
+    ),
+    "lucas-lehmer-negative": (
+        ("lucas-lehmer", "--", "-3"), 2,
+        "collatzpath lucas-lehmer: error: argument p: invalid int value: '-3'",
+    ),
+    "from-rank-zero": (
+        ("stats", "--set", "mersenne", "--from-rank", "0"), 2,
+        "collatzpath: usage error: ranks must satisfy 1 <= from <= to <= 47, got 0..38",
+    ),
+    "mersenne-too-large": (
+        ("pathlen", "M" + "1" + "0" * 30), 3,
+        "collatzpath: error: n is too large for 2**n - 1 to be an int, "
+        "got a 100-bit value 0xc9f2c9cd04674ede...",
+    ),
+    "power-too-large": (
+        ("pathlen", "2^" + "1" + "0" * 30), 3,
+        "collatzpath: error: exponent is too large for 2**n to be an int, "
+        "got a 100-bit value 0xc9f2c9cd04674ede...",
+    ),
+    "scan-too-large": (
+        ("scan", "--center", "1" + "0" * 30, "--each-side", "1", "--stride", "1", "--jobs", "2"), 3,
+        "collatzpath: error: n is too large for 2**n - 1 to be an int, "
+        "got a 100-bit value 0xc9f2c9cd04674ede...",
+    ),
+    "heuristic-too-large": (
+        ("heuristic", "--n", "1" + "0" * 400), 3,
+        "collatzpath: error: n must fit a float, got a 1329-bit value 0xda763fc8cb9ff9e5...",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, line", ONE_LINE_FAILURES.values(),
+                         ids=ONE_LINE_FAILURES.keys())
+def test_failures_end_in_one_line(capsys, argv, code, line):
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert "Traceback" not in err
+    assert [text for text in err.splitlines() if "error" in text] == [line]
+    assert err.endswith(line + "\n")
+
+
+def test_an_interrupt_is_one_line_and_exit_130(capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("collatzpath.cli.path_length", interrupted)
+    assert run_cli(capsys, "pathlen", "27") == (130, "", "collatzpath: interrupted\n")
+
+
+def test_an_interrupted_checkpointed_run_keeps_its_checkpoint(tmp_path, capsys, monkeypatch):
+    plain = run_cli(capsys, "pathlen", "M89")
+    ckpt = tmp_path / "m89.ckpt"
+    argv = ("pathlen", "M89", "--checkpoint", str(ckpt), "--checkpoint-interval", "300")
+    calls = []
+
+    def interrupted_second(state, budget, **kwargs):
+        calls.append(budget)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return advance(state, budget, **kwargs)
+
+    monkeypatch.setattr("collatzpath.cli.advance", interrupted_second)
+    assert run_cli(capsys, *argv) == (130, "", "collatzpath: interrupted\n")
+    expr = parse_expression("M89")
+    first = advance(initial_state(expr.resolve(), origin=expr), 300)
+    assert checkpoint_read(ckpt).to_state() == first
+    monkeypatch.undo()
+    assert run_cli(capsys, *argv) == plain
 
 
 def test_cycle_guard_failure(capsys):

@@ -32,6 +32,7 @@ from collatzpath import (
     mersenne_set,
     next_prime,
     odd_step_accelerated,
+    parse_expression,
     path_length,
     primes_from,
     ratio_stats,
@@ -106,12 +107,28 @@ FLOAT_OVERFLOWS = {
     "fit_loglog.exponent": lambda: fit_loglog([(1, 2**20000), (2, 7)]),
     "fit_line_indices": lambda: fit_line_indices(FitResult(0.9, 0.55, 0.0), (10000,)),
     "fit_line_indices.huge": lambda: fit_line_indices(FitResult(0.9, 0.55, 0.0), (2**20000,)),
+    "mersenne_heuristic": lambda: mersenne_heuristic(10**400),
 }
 
 
 @pytest.mark.parametrize("call", FLOAT_OVERFLOWS.values(), ids=FLOAT_OVERFLOWS.keys())
 def test_float_overflow_is_a_range_error(call):
     with pytest.raises(RangeError):
+        call()
+
+
+# Exponents past what a shift can build: 1 << n raises OverflowError.
+SHIFT_OVERFLOWS = {
+    "mersenne_number": lambda: mersenne_number(10**30),
+    "NumberExpression.power_of_two": lambda: parse_expression("2^" + "1" + "0" * 30).resolve(),
+    "NumberExpression.mersenne": lambda: parse_expression("2^" + "1" + "0" * 30 + "-1").resolve(),
+    "scan_ratios": lambda: scan_ratios(10**30, 1, 1, False),
+}
+
+
+@pytest.mark.parametrize("call", SHIFT_OVERFLOWS.values(), ids=SHIFT_OVERFLOWS.keys())
+def test_shift_overflow_is_a_range_error_naming_the_exponent(call):
+    with pytest.raises(RangeError, match=r"too large for 2\*\*n.* got a 100-bit value 0xc9f2c9cd"):
         call()
 
 

@@ -1,6 +1,7 @@
 """Expression grammar tests, including exact failure offsets."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from collatzpath import (
     DomainError,
@@ -11,7 +12,7 @@ from collatzpath import (
     mersenne_number,
     parse_expression,
 )
-from collatzpath.expressions import decimal_text
+from collatzpath.expressions import decimal_text, parse_decimal
 
 VALID = [
     ("0", ExpressionKind.DECIMAL, 0, "0"),
@@ -74,6 +75,42 @@ def test_invalid_expressions_report_offsets(text, offset, expected):
     assert err.offset == offset
     assert err.expected == expected
     assert f"offset {offset}" in str(err)
+
+
+DIGIT_GROUPS = st.lists(st.text("0123456789", min_size=1, max_size=8), min_size=1, max_size=4)
+
+
+@given(DIGIT_GROUPS)
+def test_parse_decimal_reads_what_int_reads(groups):
+    text = "_".join(groups)
+    assert parse_decimal(text) == int(text)
+
+
+# int() reads all of these but the superscript two.
+NOT_DECIMAL = ["²", "١", "５", " ", "\t", "\n", "+", "-"]
+
+
+@given(st.text("0123456789", max_size=4), st.sampled_from(NOT_DECIMAL), DIGIT_GROUPS)
+def test_parse_decimal_refuses_other_characters(before, bad, groups):
+    text = before + bad + "_".join(groups)
+    with pytest.raises(ParseError) as excinfo:
+        parse_decimal(text)
+    assert excinfo.value.offset == len(before)
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [("", 0), ("_1", 0), ("1_", 2), ("1__0", 2), ("1_0_", 4), ("_", 0)],
+)
+def test_parse_decimal_refuses_misplaced_underscores_and_empty_text(text, offset):
+    with pytest.raises(ParseError) as excinfo:
+        parse_decimal(text)
+    assert excinfo.value.offset == offset
+
+
+def test_parse_decimal_rejects_non_strings():
+    with pytest.raises(DomainError):
+        parse_decimal(7)
 
 
 def test_parse_rejects_non_strings():

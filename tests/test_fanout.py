@@ -2,11 +2,14 @@
 
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+import collatzpath
 from collatzpath import CollatzPathError, CycleGuardExceeded, mersenne_number, path_length
 from collatzpath import survey
 from collatzpath.survey import mersenne_path_lengths
@@ -107,6 +110,63 @@ def test_an_interrupt_kills_a_running_child(monkeypatch):
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - started < 30
     assert_no_children()
+
+
+# Runs two shares whose rows never finish, each child logging its pid.
+SLEEPING_FAN_OUT = """
+import os, sys, time
+from collatzpath import survey
+
+def sleeping(n, guard):
+    with open(sys.argv[1], "a") as log:
+        log.write(f"{os.getpid()}\\n")
+    time.sleep(60)
+    return n
+
+survey._mersenne_d = sleeping
+list(survey.mersenne_path_lengths([2, 3], 2, 10))
+"""
+
+
+def running(pid):
+    """Whether pid is a process that has not ended; a zombie has."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states in /proc")
+@pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
+def test_no_child_outlives_a_killed_parent(tmp_path, signum):
+    # Neither signal runs the generator's cleanup in the killed process.
+    log = tmp_path / "pids"
+    log.touch()
+    package_root = os.path.dirname(os.path.dirname(collatzpath.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    parent = subprocess.Popen([sys.executable, "-c", SLEEPING_FAN_OUT, str(log)], env=env)
+    pids = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(pids) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            pids = [int(line) for line in log.read_text().splitlines(keepends=True)
+                    if line.endswith("\n")]
+        assert len(pids) == 2
+        parent.send_signal(signum)
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if running(pid)]
+    finally:
+        parent.kill()
+        parent.wait()
+        for pid in pids:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
+    assert survivors == []
 
 
 def test_a_child_that_dies_without_a_result_is_an_error(monkeypatch):
