@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, RangeError, checked_int, int_text
+from .errors import DomainError, RangeError, checked_exponent, checked_int, int_text
 
 CATALOG_SIZE = 47
 
@@ -97,15 +97,9 @@ _ENTRIES = tuple(CatalogEntry(*row) for row in _ROWS)
 def mersenne_number(n: int) -> int:
     """2**n - 1; the result has bit length exactly n.
 
-    Raises RangeError for an n too large for Python's int to hold 2**n.
+    Raises RangeError for n above errors.MAX_EXPONENT, before building it.
     """
-    n = checked_int(n, "n", 1)
-    try:
-        return (1 << n) - 1
-    except OverflowError:
-        raise RangeError(
-            f"n is too large for 2**n - 1 to be an int, got {int_text(n, 'value')}"
-        ) from None
+    return (1 << checked_exponent(n, "n", 1)) - 1
 
 
 def catalog_entry(k: int) -> CatalogEntry:
@@ -204,12 +198,13 @@ def lucas_lehmer(p: int) -> bool:
     Runs the classic s -> s**2 - 2 recurrence from s = 4 for p - 2 rounds
     modulo 2**p - 1; the Mersenne number is prime exactly when the final
     value is 0.  Reduction never divides: (s & m) + (s >> p) folds the high
-    half back in, using 2**p = 1 (mod m).
+    half back in, using 2**p = 1 (mod m).  A p above errors.MAX_EXPONENT
+    raises RangeError before m is built.
     """
     p = checked_int(p, "p")
     if p < 3 or not p & 1 or not is_prime(p):
         raise DomainError(f"p must be an odd prime, got {int_text(p, 'value')}")
-    m = (1 << p) - 1
+    m = mersenne_number(p)
     s = 4
     for _ in range(p - 2):
         s = s * s - 2

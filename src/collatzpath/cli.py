@@ -31,7 +31,7 @@ from .engine import (
     path_length,
     trace,
 )
-from .errors import CollatzPathError, OriginMismatch, ParseError, RangeError
+from .errors import CollatzPathError, CycleGuardExceeded, OriginMismatch, ParseError, RangeError
 from .expressions import NumberExpression, decimal_text, parse_decimal, parse_expression
 from .heuristics import fit_loglog, mersenne_heuristic
 from .survey import (
@@ -118,9 +118,13 @@ def _run_checkpointed(
             )
     else:
         state = initial_state(expr.resolve(), origin=expr)
-    while not state.halted:
-        state = advance(state, interval, cycle_guard=guard)
-        checkpoint_write(path, state)
+    try:
+        while not state.halted:
+            state = advance(state, interval, cycle_guard=guard)
+            checkpoint_write(path, state)
+    except CycleGuardExceeded:
+        # advance names the state it was given; a plain run names the start.
+        raise CycleGuardExceeded(expr.resolve(), guard) from None
     return PathResult(
         d=state.steps,
         odd_steps=state.odd_steps,

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one integer check.
+"""Exception types shared across the package, its one integer check and
+its one exponent ceiling.
 
 Everything raised on purpose derives from CollatzPathError so callers can
 catch one type at the boundary.  Domain/range violations also subclass
@@ -9,6 +10,11 @@ a non-integer or a value below the bound is a DomainError, never a bare
 TypeError.  Messages name integers of 64 bits or more by bit length and
 leading hex digits (int_text): the paper's values run to 43 million bits,
 far past the 4300 digits at which str() refuses an int.
+
+Every 2**n the package builds from a caller's exponent n takes n through
+checked_exponent first, so an n above MAX_EXPONENT is a RangeError before
+any shift or power runs, never a MemoryError or an allocation of
+gigabytes.
 """
 
 from __future__ import annotations
@@ -40,6 +46,24 @@ def checked_int(value: object, name: str, minimum: int | None = None) -> int:
         raise DomainError(f"{name} must be an integer, got {type(value).__name__}") from None
     if minimum is not None and value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {int_text(value, 'value')}")
+    return value
+
+
+# 2**32 is a 512 MiB int, about 100 times the catalog's largest exponent.
+MAX_EXPONENT = 2**32
+
+
+def checked_exponent(value: object, name: str, minimum: int = 0) -> int:
+    """value through checked_int, then at most MAX_EXPONENT.
+
+    Raises RangeError above the ceiling, so 2**value is never built for it.
+    """
+    value = checked_int(value, name, minimum)
+    if value > MAX_EXPONENT:
+        raise RangeError(
+            f"{name} is too large for 2**n (at most {MAX_EXPONENT}), "
+            f"got {int_text(value, 'value')}"
+        )
     return value
 
 

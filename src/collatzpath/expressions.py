@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .catalog import catalog_entry, mersenne_number
-from .errors import DomainError, ParseError, RangeError, checked_int, int_text
+from .errors import DomainError, ParseError, checked_exponent, checked_int
 
 
 # Python refuses str(int) and int(str) past a digit limit (4300 by default,
@@ -97,20 +97,14 @@ class NumberExpression:
         """The integer value this expression names.
 
         Raises DomainError for M0, and RangeError for a rank outside the
-        catalog or an exponent too large for Python's int; parsing alone
-        never validates those, so an expression can be inspected without
-        being resolvable.
+        catalog or an exponent above errors.MAX_EXPONENT (checked before
+        2**n is built); parsing alone never validates those, so an
+        expression can be inspected without being resolvable.
         """
         if self.kind is ExpressionKind.DECIMAL:
             return self.parameter
         if self.kind is ExpressionKind.POWER_OF_TWO:
-            try:
-                return 1 << self.parameter
-            except OverflowError:
-                raise RangeError(
-                    f"exponent is too large for 2**n to be an int, "
-                    f"got {int_text(self.parameter, 'value')}"
-                ) from None
+            return 1 << checked_exponent(self.parameter, "n")
         if self.kind is ExpressionKind.MERSENNE_BY_EXPONENT:
             return mersenne_number(self.parameter)
         return mersenne_number(catalog_entry(self.parameter).exponent)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .catalog import mersenne_number
 from .engine import initial_state, raw_advance
 from .errors import DegenerateFitError, DomainError, RangeError, checked_int, int_text
 
@@ -56,7 +57,8 @@ def heuristic_path_length(ln_n: float) -> float:
     The caller supplies the natural log of N so that huge values never need
     materializing; bit_length(N) * ln 2 is a fine summary for big N.
     Raises DomainError for a non-number (text included), infinity or NaN,
-    and RangeError for an int too large to be a float.
+    and RangeError for an int too large to be a float or an ln_n whose
+    estimate is not a finite float.
     """
     if isinstance(ln_n, (str, bytes, bytearray)):
         raise DomainError(f"ln_n must be a number, got {type(ln_n).__name__}")
@@ -70,19 +72,26 @@ def heuristic_path_length(ln_n: float) -> float:
         raise DomainError(f"ln_n must be finite, got {ln_n}")
     if ln_n < 0.0:
         raise DomainError(f"ln_n must be >= 0, got {ln_n}")
-    return C0 * ln_n
+    estimate = C0 * ln_n
+    if math.isinf(estimate):
+        raise RangeError(f"ln_n is too large for a finite estimate, got {ln_n}")
+    return estimate
 
 
 def mersenne_heuristic(n: int) -> float:
     """Estimated D(2**n - 1) = (2 + c0 ln 3) * n.
 
-    Raises RangeError for an n too large to be a float.
+    Raises RangeError for an n too large to be a float, or whose estimate
+    is not a finite float.
     """
     n = checked_int(n, "n", 1)
     try:
-        return MERSENNE_SLOPE * n
+        estimate = MERSENNE_SLOPE * n
     except OverflowError:
         raise RangeError(f"n must fit a float, got {int_text(n, 'value')}") from None
+    if math.isinf(estimate):
+        raise RangeError(f"n is too large for a finite estimate, got {int_text(n, 'value')}")
+    return estimate
 
 
 def verify_transit_lemma(n: int) -> bool:
@@ -96,7 +105,7 @@ def verify_transit_lemma(n: int) -> bool:
     test suite's one-rule-at-a-time walk is the independent check.
     """
     n = checked_int(n, "n", 1)
-    state = initial_state((1 << n) - 1)
+    state = initial_state(mersenne_number(n))
     after_two = raw_advance(state, 2)
     if n >= 2 and after_two.current != 3 * (1 << (n - 1)) - 1:
         return False

@@ -38,6 +38,7 @@ from .errors import (
     DegenerateStatsError,
     DomainError,
     RangeError,
+    checked_exponent,
     checked_int,
     int_text,
 )
@@ -183,17 +184,27 @@ def ratio_stats(pairs: list[tuple[int, int]]) -> RatioStats:
     ratios give 0.0002977 with divisor 12 and 0.000275 with divisor 13,
     and only the former matches the published value.  The test suite
     re-derives this discrimination rather than trusting the comment.
+    A ratio, mean or variance too large for a float raises RangeError.
     """
     import statistics
 
     ratios = []
     for n, d in pairs:
         n = checked_int(n, "exponent", 1)
-        ratios.append(checked_int(d, "d", 0) / n)
+        d = checked_int(d, "d", 0)
+        try:
+            ratios.append(d / n)
+        except OverflowError:
+            raise RangeError(
+                f"d / n must fit a float, got ({int_text(n, 'value')}, {int_text(d, 'value')})"
+            ) from None
     if len(ratios) < 2:
         raise DegenerateStatsError(f"need at least 2 pairs, got {len(ratios)}")
-    mean = statistics.fmean(ratios)
-    variance = statistics.variance(ratios)
+    try:
+        mean = statistics.fmean(ratios)
+        variance = statistics.variance(ratios)
+    except OverflowError:
+        raise RangeError("the mean and variance of d / n must fit a float") from None
     return RatioStats(count=len(ratios), mean=mean, sample_variance=variance)
 
 
@@ -410,6 +421,10 @@ def scan_ratios(
     included when prime; the enumeration below center truncates quietly at
     the bottom of the prime sequence.  In integer mode the window is
     center +- j*stride clipped to n >= 2.  count_each_side = 0 yields [].
+    Before any window is built or walked, center + count_each_side * stride
+    goes through checked_exponent: that is the lowest the window's top can
+    be in either mode (the k-th prime above center is at least center + k),
+    so a window reaching past errors.MAX_EXPONENT is a RangeError at once.
 
     jobs > 1 computes the rows in that many forked processes (see
     mersenne_path_lengths); output order is by exponent either way.
@@ -420,6 +435,7 @@ def scan_ratios(
     jobs = checked_int(jobs, "jobs", 1)
     if count_each_side == 0:
         return []
+    checked_exponent(center + count_each_side * stride, "n")
     exponents = _scan_exponents(center, count_each_side, stride, primes_only)
     return [
         ScanRecord(exponent=n, is_prime_index=is_prime(n), d=d, ratio=d / n)

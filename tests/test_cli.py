@@ -390,22 +390,59 @@ ONE_LINE_FAILURES = {
     ),
     "mersenne-too-large": (
         ("pathlen", "M" + "1" + "0" * 30), 3,
-        "collatzpath: error: n is too large for 2**n - 1 to be an int, "
+        "collatzpath: error: n is too large for 2**n (at most 4294967296), "
         "got a 100-bit value 0xc9f2c9cd04674ede...",
     ),
     "power-too-large": (
         ("pathlen", "2^" + "1" + "0" * 30), 3,
-        "collatzpath: error: exponent is too large for 2**n to be an int, "
+        "collatzpath: error: n is too large for 2**n (at most 4294967296), "
         "got a 100-bit value 0xc9f2c9cd04674ede...",
     ),
     "scan-too-large": (
         ("scan", "--center", "1" + "0" * 30, "--each-side", "1", "--stride", "1", "--jobs", "2"), 3,
-        "collatzpath: error: n is too large for 2**n - 1 to be an int, "
+        "collatzpath: error: n is too large for 2**n (at most 4294967296), "
         "got a 100-bit value 0xc9f2c9cd04674ede...",
+    ),
+    # Exponents a shift would have tried to allocate, or a window too wide
+    # to list or walk: refused before any 2**n or window is built.
+    "mersenne-below-2**63": (
+        ("pathlen", "M9223372036854775807"), 3,
+        "collatzpath: error: n is too large for 2**n (at most 4294967296), got 9223372036854775807",
+    ),
+    "mersenne-2**34": (
+        ("pathlen", "M17179869184"), 3,
+        "collatzpath: error: n is too large for 2**n (at most 4294967296), got 17179869184",
+    ),
+    "power-below-2**63": (
+        ("pathlen", "2^9223372036854775806"), 3,
+        "collatzpath: error: n is too large for 2**n (at most 4294967296), got 9223372036854775806",
+    ),
+    "lucas-lehmer-prime-below-2**63": (
+        ("lucas-lehmer", "9223372036854775783"), 3,
+        "collatzpath: error: n is too large for 2**n (at most 4294967296), got 9223372036854775783",
+    ),
+    "scan-near-2**64": (
+        ("scan", "--center", "18446744073709551557", "--each-side", "2", "--stride", "1"), 3,
+        "collatzpath: error: n is too large for 2**n (at most 4294967296), "
+        "got a 64-bit value 0xffffffffffffffc7...",
+    ),
+    "scan-wide": (
+        ("scan", "--center", "100", "--each-side", "100000000000", "--stride", "1", "--jobs", "1"), 3,
+        "collatzpath: error: n is too large for 2**n (at most 4294967296), got 100000000100",
+    ),
+    "scan-wide-primes-only": (
+        ("scan", "--center", "100", "--each-side", "100000000000", "--stride", "1",
+         "--primes-only", "--jobs", "1"), 3,
+        "collatzpath: error: n is too large for 2**n (at most 4294967296), got 100000000100",
     ),
     "heuristic-too-large": (
         ("heuristic", "--n", "1" + "0" * 400), 3,
         "collatzpath: error: n must fit a float, got a 1329-bit value 0xda763fc8cb9ff9e5...",
+    ),
+    "heuristic-infinite-estimate": (
+        ("heuristic", "--n", "1" + "0" * 308), 3,
+        "collatzpath: error: n is too large for a finite estimate, "
+        "got a 1024-bit value 0x8e679c2f5e44ff8f...",
     ),
 }
 
@@ -566,6 +603,15 @@ def test_checkpoint_corruption_is_a_runtime_failure(tmp_path, capsys):
     code, _, err = run_cli(capsys, "pathlen", "M89", "--checkpoint", str(ckpt))
     assert code == 3
     assert "CRC" in err or "crc" in err.lower()
+
+
+def test_a_checkpointed_guard_trip_names_the_start(tmp_path, capsys):
+    argv = ("pathlen", "M2203", "--cycle-guard", "20000")
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 3
+    assert "a 2203-bit start 0xffffffffffffffff..." in plain[2]
+    ckpt = str(tmp_path / "m2203.ckpt")
+    assert run_cli(capsys, *argv, "--checkpoint", ckpt, "--checkpoint-interval", "5000") == plain
 
 
 def test_checkpoint_interval_split_is_invisible(tmp_path, capsys):

@@ -1,6 +1,8 @@
-"""The one integer check every public entry point takes its arguments through."""
+"""The one integer check and the one exponent ceiling that public entry points
+take their arguments through."""
 
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -42,7 +44,7 @@ from collatzpath import (
     verify_transit_lemma,
 )
 from collatzpath import errors
-from collatzpath.errors import checked_int
+from collatzpath.errors import MAX_EXPONENT, checked_exponent, checked_int, int_text
 
 # Past Python's 4300-digit str() limit, so only int_text can name it.
 HUGE = -(2**20000)
@@ -79,6 +81,7 @@ ENTRY_POINTS = {
     "ratio_stats": lambda v: ratio_stats([(v, 5), (2, 4)]),
     "scan_ratios": scan_ratios,
     "NumberExpression": lambda v: NumberExpression(ExpressionKind.DECIMAL, v),
+    "checked_exponent": lambda v: checked_exponent(v, "n"),
 }
 
 
@@ -108,6 +111,10 @@ FLOAT_OVERFLOWS = {
     "fit_line_indices": lambda: fit_line_indices(FitResult(0.9, 0.55, 0.0), (10000,)),
     "fit_line_indices.huge": lambda: fit_line_indices(FitResult(0.9, 0.55, 0.0), (2**20000,)),
     "mersenne_heuristic": lambda: mersenne_heuristic(10**400),
+    "ratio_stats.variance": lambda: ratio_stats([(1, 10**300), (1, 0)]),
+    # Each fits a float, but its estimate is infinite.
+    "heuristic_path_length.inf_estimate": lambda: heuristic_path_length(1e308),
+    "mersenne_heuristic.inf_estimate": lambda: mersenne_heuristic(2**1023),
 }
 
 
@@ -117,19 +124,63 @@ def test_float_overflow_is_a_range_error(call):
         call()
 
 
-# Exponents past what a shift can build: 1 << n raises OverflowError.
+def test_a_ratio_too_large_for_a_float_names_its_pair():
+    with pytest.raises(
+        RangeError, match=r"^d / n must fit a float, got \(1, a 2001-bit value 0x8000000000000000\.\.\.\)$"
+    ):
+        ratio_stats([(1, 2**2000), (2, 3)])
+
+
+# Each builder of 2**n from a caller's exponent n; a scan builds it for
+# the top of a window of one exponent each side of n - 1.
+EXPONENT_BUILDERS = {
+    "mersenne_number": mersenne_number,
+    "NumberExpression.power_of_two": lambda n: NumberExpression(ExpressionKind.POWER_OF_TWO, n).resolve(),
+    "NumberExpression.mersenne": lambda n: NumberExpression(ExpressionKind.MERSENNE_BY_EXPONENT, n).resolve(),
+    "verify_transit_lemma": verify_transit_lemma,
+    "scan_ratios": lambda n: scan_ratios(n - 1, 1, 1, False),
+    "scan_ratios.primes_only": lambda n: scan_ratios(n - 1, 1, 1, True),
+}
+
+# (call, the exponent its refusal names).  10**30 is past what a shift can
+# build (OverflowError); 2**34 and 2**63 - 1 are shifts that would have
+# allocated gigabytes or ended in MemoryError.
 SHIFT_OVERFLOWS = {
-    "mersenne_number": lambda: mersenne_number(10**30),
-    "NumberExpression.power_of_two": lambda: parse_expression("2^" + "1" + "0" * 30).resolve(),
-    "NumberExpression.mersenne": lambda: parse_expression("2^" + "1" + "0" * 30 + "-1").resolve(),
-    "scan_ratios": lambda: scan_ratios(10**30, 1, 1, False),
+    "mersenne_number": (lambda: mersenne_number(10**30), 10**30),
+    "NumberExpression.power_of_two": (
+        lambda: parse_expression("2^" + "1" + "0" * 30).resolve(), 10**30,
+    ),
+    "NumberExpression.mersenne": (
+        lambda: parse_expression("2^" + "1" + "0" * 30 + "-1").resolve(), 10**30,
+    ),
+    "scan_ratios": (lambda: scan_ratios(10**30, 1, 1, False), 10**30 + 1),
+    **{
+        f"{name}.{label}": (lambda build=build, n=n: build(n), n)
+        for name, build in EXPONENT_BUILDERS.items()
+        for label, n in (("2**34", 2**34), ("2**63-1", 2**63 - 1))
+    },
+    # 2**61 - 1 is prime, so the test reaches its modulus.
+    "lucas_lehmer.2**61-1": (lambda: lucas_lehmer(2**61 - 1), 2**61 - 1),
+    # The lowest possible top of a window of 10**11 on each side.
+    "scan_ratios.wide": (lambda: scan_ratios(100, 10**11, 1, False), 10**11 + 100),
+    "scan_ratios.wide.primes_only": (lambda: scan_ratios(100, 10**11, 1, True), 10**11 + 100),
 }
 
 
-@pytest.mark.parametrize("call", SHIFT_OVERFLOWS.values(), ids=SHIFT_OVERFLOWS.keys())
-def test_shift_overflow_is_a_range_error_naming_the_exponent(call):
-    with pytest.raises(RangeError, match=r"too large for 2\*\*n.* got a 100-bit value 0xc9f2c9cd"):
+@pytest.mark.parametrize("call, n", SHIFT_OVERFLOWS.values(), ids=SHIFT_OVERFLOWS.keys())
+def test_shift_overflow_is_a_range_error_naming_the_exponent(call, n):
+    message = f"n is too large for 2**n (at most {MAX_EXPONENT}), got {int_text(n, 'value')}"
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_the_exponent_ceiling_is_inclusive():
+    assert MAX_EXPONENT == 2**32
+    assert checked_exponent(MAX_EXPONENT, "n") == MAX_EXPONENT
+    with pytest.raises(RangeError, match="^n is too large for 2"):
+        checked_exponent(MAX_EXPONENT + 1, "n")
+    with pytest.raises(DomainError, match="^n must be >= 1, got 0$"):
+        checked_exponent(0, "n", 1)
 
 
 @pytest.mark.parametrize("bad", ["x", None, [1.0]])
