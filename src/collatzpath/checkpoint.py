@@ -99,8 +99,9 @@ def checkpoint_write(path: str | os.PathLike, state: IterationState) -> Checkpoi
 
     cp = checkpoint_from_state(state)
     data = serialize_checkpoint(cp)
-    directory = os.path.dirname(os.path.abspath(os.fspath(path))) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # The temporary sibling is named after the target, so an error names it.
+    directory, name = os.path.split(os.path.abspath(os.fspath(path)))
+    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=f"{name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -119,18 +120,17 @@ def checkpoint_write(path: str | os.PathLike, state: IterationState) -> Checkpoi
 def checkpoint_read(path: str | os.PathLike) -> Checkpoint:
     """Load and validate a checkpoint file.
 
-    Raises VersionUnsupported for a foreign format version,
-    ChecksumMismatch when the payload fails its CRC, and MalformedField
-    for structural damage or any payload other than the one the writer
-    produces for the state it names.  A returned checkpoint is always
-    resumable and re-serializes to the exact bytes on disk.
+    Raises VersionUnsupported for a first line "CKMP <v>" with another
+    version, whatever follows it; ChecksumMismatch when the payload fails
+    its CRC; and MalformedField for structural damage or any payload
+    other than the one the writer produces for the state it names.  A
+    returned checkpoint is always resumable and re-serializes to the exact
+    bytes on disk.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     lines = data.split(b"\n")
-    # magic, six fields, crc line, END, plus the empty tail of the final newline
-    if len(lines) != 10 or lines[-1] != b"" or lines[-2] != b"END":
-        raise MalformedField("checkpoint does not have the expected line structure")
+    # The header comes first: another version may lay its lines out differently.
     try:
         magic = lines[0].decode("ascii")
     except UnicodeDecodeError as exc:
@@ -140,6 +140,9 @@ def checkpoint_read(path: str | os.PathLike) -> Checkpoint:
     version_text = magic[len(_MAGIC_PREFIX):]
     if version_text != str(CHECKPOINT_VERSION):
         raise VersionUnsupported(f"unsupported checkpoint version {version_text!r}")
+    # magic, six fields, crc line, END, plus the empty tail of the final newline
+    if len(lines) != 10 or lines[-1] != b"" or lines[-2] != b"END":
+        raise MalformedField("checkpoint does not have the expected line structure")
     crc_line = lines[7]
     if not crc_line.startswith(b"crc32="):
         raise MalformedField(f"expected crc32 line, got {crc_line!r}")

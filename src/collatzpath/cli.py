@@ -3,7 +3,7 @@
 Every analysis the library performs is reachable here, and everything is
 emitted as CSV (or TSV) so downstream plotting is two columns away.  Exit
 codes: 0 success, 1 verification mismatch, 2 usage or expression parse
-error, 3 runtime failure (guard trips, checkpoint damage, I/O), 130
+error, 3 runtime failure (guard trips, checkpoint damage, I/O, memory), 130
 interrupted (Ctrl-C), reported in one line.
 
 Every number typed here is read in the notation's decimal form
@@ -31,7 +31,7 @@ from .engine import (
     path_length,
     trace,
 )
-from .errors import CollatzPathError, CycleGuardExceeded, OriginMismatch, ParseError, RangeError
+from .errors import CollatzPathError, OriginMismatch, ParseError, RangeError
 from .expressions import NumberExpression, decimal_text, parse_decimal, parse_expression
 from .heuristics import fit_loglog, mersenne_heuristic
 from .survey import (
@@ -118,13 +118,9 @@ def _run_checkpointed(
             )
     else:
         state = initial_state(expr.resolve(), origin=expr)
-    try:
-        while not state.halted:
-            state = advance(state, interval, cycle_guard=guard)
-            checkpoint_write(path, state)
-    except CycleGuardExceeded:
-        # advance names the state it was given; a plain run names the start.
-        raise CycleGuardExceeded(expr.resolve(), guard) from None
+    while not state.halted:
+        state = advance(state, interval, cycle_guard=guard)
+        checkpoint_write(path, state)
     return PathResult(
         d=state.steps,
         odd_steps=state.odd_steps,
@@ -351,6 +347,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RUNTIME
     except OSError as exc:
         print(f"collatzpath: i/o error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError:
+        # A MemoryError carries no message of its own.
+        print("collatzpath: error: out of memory", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception as exc:
         # Anything unforeseen is a runtime failure, reported in one line

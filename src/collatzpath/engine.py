@@ -64,6 +64,8 @@ down to runs and fused steps, which settle the peak exactly.
 Values are plain Python ints throughout.  Termination of the iteration is
 an open conjecture, so every iterating function takes a cycle_guard step
 ceiling and raises CycleGuardExceeded rather than looping without bound.
+The kernel only steps: _advanced, behind every entry point but trace,
+makes the guard the walk's budget and raises when the walk passed it.
 """
 
 from __future__ import annotations
@@ -323,19 +325,17 @@ def _walk(
     even: int,
     peak: int,
     budget: int,
-    guard: int,
-    start: int,
     halt: bool,
     widest: float = math.inf,
 ) -> tuple[int, int, int, int]:
-    """The stepping kernel: up to budget rule applications from x.
+    """The stepping kernel: budget rule applications from x, fewer if it halts.
 
     odd, even and peak carry the counters of the walk so far and come back
     updated with the new current value.  Each move is a run over a window
     of one bits, a jump over any other window, or a fused step.  With halt
     set, the walk stops on reaching 1.  No run or jump takes more than
-    widest shortcut steps.  Raises CycleGuardExceeded, reporting start, as
-    soon as odd + even passes guard; it is checked after every move.
+    widest shortcut steps.  It raises nothing: _advanced bounds it by the
+    cycle guard through budget.
     """
     remaining = budget
     while remaining and not (halt and x == 1):
@@ -362,7 +362,7 @@ def _walk(
                 if top is None:
                     # Replaying the jump's k + c rule applications with narrower
                     # moves settles the peak exactly; runs and fused steps always do.
-                    x, odd, even, peak = _walk(x, odd, even, peak, k + c, guard, start, halt, k - 1)
+                    x, odd, even, peak = _walk(x, odd, even, peak, k + c, halt, k - 1)
                 else:
                     x = power * a + y
                     odd += c
@@ -384,8 +384,6 @@ def _walk(
             x >>= t
             even += t
             remaining -= t
-        if odd + even > guard:
-            raise CycleGuardExceeded(start, guard)
     return x, odd, even, peak
 
 
@@ -395,11 +393,11 @@ def path_length(x: Natural, *, cycle_guard: int = DEFAULT_CYCLE_GUARD) -> PathRe
     Raises DomainError for x < 1 and CycleGuardExceeded if the running step
     count passes cycle_guard before 1 is reached.
     """
-    x = checked_int(x, "x", 1)
+    start = initial_state(x)
     guard = checked_int(cycle_guard, "cycle_guard", 1)
     # A walk that has not halted after guard + 1 steps has tripped the guard.
-    _, odd, even, peak = _walk(x, 0, 0, x.bit_length(), guard + 1, guard, x, True)
-    return PathResult(d=odd + even, odd_steps=odd, even_steps=even, peak_bit_length=peak)
+    state = _advanced(start, guard + 1, guard, True)
+    return PathResult(state.steps, state.odd_steps, state.even_steps, state.peak_bit_length)
 
 
 def advance(
@@ -416,6 +414,9 @@ def advance(
     absorbing.  Never overshoots the first arrival at 1; when 3x+1 is a
     power of two the fused step consumes exactly the halvings needed to
     land on 1 and stops there.
+
+    Raises CycleGuardExceeded once steps passes cycle_guard, naming the
+    origin's value when the state has an origin, else its current value.
     """
     max_steps = checked_int(max_steps, "max_steps", 0)
     guard = checked_int(cycle_guard, "cycle_guard", 1)
@@ -432,7 +433,7 @@ def raw_advance(
 
     The trivial cycle 1 -> 4 -> 2 -> 1 is permitted; this is the variant
     needed to follow a path through 1 or to step an algebraic identity a
-    fixed number of times.
+    fixed number of times.  The cycle guard trips as in advance.
     """
     exact_steps = checked_int(exact_steps, "exact_steps", 0)
     guard = checked_int(cycle_guard, "cycle_guard", 1)
@@ -440,10 +441,15 @@ def raw_advance(
 
 
 def _advanced(state: IterationState, budget: int, guard: int, halt: bool) -> IterationState:
-    x = state.current
+    # The one place the guard lives: the walk gets the steps left before it
+    # passes guard, at least one, and trips when it moved past guard.
+    budget = min(budget, max(guard + 1 - state.steps, 1))
     x, odd, even, peak = _walk(
-        x, state.odd_steps, state.even_steps, state.peak_bit_length, budget, guard, x, halt
+        state.current, state.odd_steps, state.even_steps, state.peak_bit_length, budget, halt
     )
+    if odd + even > max(guard, state.steps):
+        start = state.current if state.origin is None else state.origin.resolve()
+        raise CycleGuardExceeded(start, guard)
     return IterationState(
         current=x,
         steps=odd + even,

@@ -1,5 +1,7 @@
 """Catalog fixture integrity plus the primality machinery built on it."""
 
+import math
+
 import pytest
 
 from conftest import sieve_flags, trial_division_is_prime
@@ -137,11 +139,78 @@ def test_is_prime_agrees_with_sieve_to_a_million():
         assert is_prime(n) is bool(flags[n]), n
 
 
-def test_is_prime_agrees_with_gmp(rng):
-    gmpy2 = pytest.importorskip("gmpy2")
-    for _ in range(500):
-        n = rng.getrandbits(64)
-        assert is_prime(n) is bool(gmpy2.is_prime(n)), n
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def strong_probable_prime(n, a):
+    """Whether odd n > a passes one Miller-Rabin round to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x == 1:
+        return True
+    for _ in range(s):
+        if x == n - 1:
+            return True
+        x = x * x % n
+    return False
+
+
+# The least composites that pass Miller-Rabin to the first 4, 5, 6, 8 and
+# 11 prime bases (Jaeschke 1993; Jiang and Deng 2014), each with its
+# factors and the first prime base that rejects it.
+STRONG_PSEUDOPRIMES = [
+    (3215031751, (151, 751, 28351), 11),
+    (2152302898747, (6763, 10627, 29947), 13),
+    (3474749660383, (1303, 16927, 157543), 17),
+    (341550071728321, (10670053, 32010157), 23),
+    (3825123056546413051, (149491, 747451, 34233211), 37),
+]
+
+
+@pytest.mark.parametrize("n, factors, rejecting", STRONG_PSEUDOPRIMES)
+def test_is_prime_rejects_strong_pseudoprimes(n, factors, rejecting):
+    assert math.prod(factors) == n and min(factors) > 1
+    assert all(strong_probable_prime(n, a) for a in SMALL_PRIMES if a < rejecting)
+    assert not strong_probable_prime(n, rejecting)
+    assert is_prime(n) is False
+
+
+def proth_verdict(n):
+    """Primality of n = k * 2**m + 1 with k < 2**m, or None if undecided.
+
+    Proth's theorem: n is prime if a**((n - 1) / 2) = -1 mod n for some a.
+    Euler's criterion: any value other than 1 or -1 shows n composite.
+    """
+    for a in SMALL_PRIMES:
+        r = pow(a, (n - 1) // 2, n)
+        if r == n - 1:
+            return True
+        if r != 1:
+            return False
+    return None
+
+
+def test_is_prime_agrees_with_proth_below_2_to_the_64():
+    numbers = [k * 2**32 + 1 for k in (*range(1, 2001), *range(2**32 - 2000, 2**32))]
+    assert max(numbers) < 2**64
+    verdicts = [proth_verdict(n) for n in numbers]
+    assert None not in verdicts
+    assert verdicts.count(True) > 100
+    for n, verdict in zip(numbers, verdicts):
+        assert is_prime(n) is verdict, n
+
+
+def test_is_prime_rejects_products_of_two_proth_primes():
+    # Primes k * 2**16 + 1 below 2**32; a product of two has no small factor.
+    ks = (*range(1, 300), *range(2**16 - 300, 2**16))
+    primes = [k * 2**16 + 1 for k in ks if proth_verdict(k * 2**16 + 1)]
+    assert len(primes) > 40 and max(primes) < 2**32
+    for p in primes:
+        assert is_prime(p) is True, p
+    for p, q in zip(primes, reversed(primes)):
+        assert is_prime(p * q) is False, (p, q)
 
 
 def test_is_prime_bounds():

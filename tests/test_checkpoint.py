@@ -124,11 +124,13 @@ def test_corrupted_payload_digit_fails_the_checksum(valid_file):
 
 
 def test_foreign_version_is_refused_before_anything_else(valid_file):
+    # The header is read first, so a foreign layout is never called malformed.
     path, _ = valid_file
     data = path.read_bytes().replace(b"CKMP 1\n", b"CKMP 2\n", 1)
-    path.write_bytes(data)
-    with pytest.raises(VersionUnsupported):
-        checkpoint_read(path)
+    for foreign in (data, data + b"extra\n", b"CKMP 2\n", b"CKMP 2"):
+        path.write_bytes(foreign)
+        with pytest.raises(VersionUnsupported, match="'2'"):
+            checkpoint_read(path)
 
 
 def payload_lines(path):

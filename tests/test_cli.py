@@ -540,6 +540,23 @@ def test_unforeseen_failure_is_one_line_and_a_runtime_exit(capsys, monkeypatch):
     assert err == "collatzpath: error: ValueError: something unforeseen\n"
 
 
+def test_running_out_of_memory_is_one_line_and_a_runtime_exit(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("collatzpath.cli.path_length", exhausted)
+    assert run_cli(capsys, "pathlen", "27") == (3, "", "collatzpath: error: out of memory\n")
+
+
+def test_a_checkpoint_in_a_missing_directory_is_an_io_error_naming_the_file(tmp_path, capsys):
+    ckpt = tmp_path / "missing" / "run.ckpt"
+    code, out, err = run_cli(capsys, "pathlen", "M7", "--checkpoint", str(ckpt))
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("collatzpath: i/o error: ") and "run.ckpt" in err
+    assert not ckpt.parent.exists()
+
+
 def test_unresolvable_rank_is_a_runtime_failure(capsys):
     code, _, err = run_cli(capsys, "pathlen", "Mp48")
     assert code == 3

@@ -377,6 +377,52 @@ def test_raw_advance_guard_trips_in_the_trivial_cycle():
         raw_advance(initial_state(27), 10**6, cycle_guard=100)
 
 
+def test_a_halted_state_past_the_guard_is_absorbing():
+    done = advance(initial_state(27), 10**6)
+    assert done.halted and done.steps == 111
+    assert advance(done, 5, cycle_guard=50) == done
+
+
+def test_a_zero_budget_past_the_guard_changes_nothing():
+    mid = advance(initial_state(27), 60)
+    assert mid.steps == 60 and not mid.halted
+    assert advance(mid, 0, cycle_guard=50) == mid
+    assert raw_advance(mid, 0, cycle_guard=50) == mid
+
+
+@pytest.mark.parametrize("call", [advance, raw_advance])
+@pytest.mark.parametrize("budget", [1, 2, 10**6])
+def test_a_state_past_the_guard_trips_on_any_positive_budget(call, budget):
+    mid = advance(initial_state(27), 60)
+    with pytest.raises(CycleGuardExceeded) as excinfo:
+        call(mid, budget, cycle_guard=50)
+    assert (excinfo.value.start, excinfo.value.limit) == (mid.current, 50)
+
+
+def test_the_guard_trips_on_the_step_that_passes_it():
+    at_guard = advance(initial_state(27), 50)
+    assert advance(advance(initial_state(27), 49), 1, cycle_guard=50) == at_guard
+    with pytest.raises(CycleGuardExceeded):
+        advance(at_guard, 1, cycle_guard=50)
+
+
+def test_raw_advance_from_one_past_the_guard_trips():
+    done = advance(initial_state(27), 10**6)
+    with pytest.raises(CycleGuardExceeded) as excinfo:
+        raw_advance(done, 1, cycle_guard=50)
+    assert (excinfo.value.start, excinfo.value.limit) == (1, 50)
+
+
+@pytest.mark.parametrize("call", [advance, raw_advance])
+def test_the_guard_names_the_origin_of_a_mid_path_state(call):
+    origin = parse_expression("M7")
+    mid = advance(initial_state(127, origin=origin), 10)
+    assert mid.current != 127
+    with pytest.raises(CycleGuardExceeded) as excinfo:
+        call(mid, 100, cycle_guard=20)
+    assert (excinfo.value.start, excinfo.value.limit) == (127, 20)
+
+
 def test_state_and_result_validation():
     with pytest.raises(DomainError):
         IterationState(current=0)
@@ -633,7 +679,7 @@ def test_runs_respect_a_finite_widest(widest):
     x = run_start(t, (1 << 300) + 12345)
     d, odd, even, peak = naive_path_length(x)
     with spying("_climb") as climb:
-        got = engine_module._walk(x, 0, 0, x.bit_length(), d + 1, d, x, True, widest)
+        got = engine_module._walk(x, 0, 0, x.bit_length(), d + 1, True, widest)
     assert got == (1, odd, even, peak)
     runs = [call.args[1] for call in climb.call_args_list]
     assert runs and max(runs) <= widest
