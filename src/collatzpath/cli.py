@@ -11,6 +11,11 @@ Every number typed here is read in the notation's decimal form
 exponent and both halves of --ranks.  A sign, whitespace or another
 script's digits is a usage error.  Rank bounds are checked by the catalog
 alone (catalog_entries), for --ranks and the stats bounds alike.
+
+Of the shared flags --format, --jobs and --cycle-guard, each subcommand
+takes only those its handler reads: --jobs only verify, scan and stats,
+--cycle-guard those and pathlen.  Any other is an unrecognized argument
+(exit 2).  Every table is written by _write_table.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import argparse
 import os
 import sys
 from csv import QUOTE_MINIMAL, writer as csv_writer
-from typing import TextIO
+from typing import Iterable, TextIO
 
 from .catalog import catalog_entries, lucas_lehmer
 from .checkpoint import checkpoint_read, checkpoint_write
@@ -87,9 +92,12 @@ def _bool_cell(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _make_writer(args: argparse.Namespace, out: TextIO):
+def _write_table(args: argparse.Namespace, out: TextIO, header: list, rows: Iterable[list]) -> None:
+    # rows may be a generator: the rows before a failing one print before its error.
     delimiter = "\t" if args.format == "tsv" else ","
-    return csv_writer(out, delimiter=delimiter, lineterminator="\n", quoting=QUOTE_MINIMAL)
+    w = csv_writer(out, delimiter=delimiter, lineterminator="\n", quoting=QUOTE_MINIMAL)
+    w.writerow(header)
+    w.writerows(rows)
 
 
 def parse_rank_range(text: str) -> tuple[int, int]:
@@ -130,8 +138,10 @@ def _run_checkpointed(
 
 
 def _cmd_pathlen(args: argparse.Namespace, out: TextIO) -> int:
+    if args.checkpoint == "":
+        raise _UsageError("--checkpoint needs a file name")
     expr = parse_expression(args.expr)
-    if args.checkpoint:
+    if args.checkpoint is not None:
         result = _run_checkpointed(expr, args.checkpoint, args.checkpoint_interval, args.cycle_guard)
     else:
         result = path_length(expr.resolve(), cycle_guard=args.cycle_guard)
@@ -149,19 +159,15 @@ def _cmd_pathlen(args: argparse.Namespace, out: TextIO) -> int:
         entries = trace(expr.resolve(), args.trace_limit, cycle_guard=args.cycle_guard)
         header.append("trace")
         row.append(" ".join(decimal_text(v) for v in entries))
-    w = _make_writer(args, out)
-    w.writerow(header)
-    w.writerow(row)
+    _write_table(args, out, header, [row])
     return EXIT_OK
 
 
 def _cmd_catalog(args: argparse.Namespace, out: TextIO) -> int:
     entries = catalog_entries()
     if args.csv:
-        w = _make_writer(args, out)
-        w.writerow(["rank", "exponent", "reference_d", "reference_ratio"])
-        for e in entries:
-            w.writerow([e.rank, e.exponent, e.reference_d, e.reference_ratio])
+        _write_table(args, out, ["rank", "exponent", "reference_d", "reference_ratio"],
+                     ([e.rank, e.exponent, e.reference_d, e.reference_ratio] for e in entries))
         return EXIT_OK
     print(f"{'rank':>4}  {'exponent':>10}  {'reference_d':>12}  {'reference_ratio':>15}", file=out)
     for e in entries:
@@ -170,16 +176,17 @@ def _cmd_catalog(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
-    rows = catalog_entries(*parse_rank_range(args.ranks))
-    d_values = mersenne_path_lengths([e.exponent for e in rows], args.jobs, args.cycle_guard)
-    w = _make_writer(args, out)
-    w.writerow(["rank", "exponent", "reference_d", "computed_d", "match"])
-    mismatched = False
-    for entry, computed in zip(rows, d_values):
-        ok = computed == entry.reference_d
-        mismatched = mismatched or not ok
-        w.writerow([entry.rank, entry.exponent, entry.reference_d, computed, _bool_cell(ok)])
-    return EXIT_MISMATCH if mismatched else EXIT_OK
+    entries = catalog_entries(*parse_rank_range(args.ranks))
+    d_values = mersenne_path_lengths([e.exponent for e in entries], args.jobs, args.cycle_guard)
+    matches = []
+
+    def rows():
+        for entry, computed in zip(entries, d_values):
+            matches.append(computed == entry.reference_d)
+            yield [entry.rank, entry.exponent, entry.reference_d, computed, _bool_cell(matches[-1])]
+
+    _write_table(args, out, ["rank", "exponent", "reference_d", "computed_d", "match"], rows())
+    return EXIT_OK if all(matches) else EXIT_MISMATCH
 
 
 def _cmd_scan(args: argparse.Namespace, out: TextIO) -> int:
@@ -191,10 +198,8 @@ def _cmd_scan(args: argparse.Namespace, out: TextIO) -> int:
         jobs=args.jobs,
         cycle_guard=args.cycle_guard,
     )
-    w = _make_writer(args, out)
-    w.writerow(["n", "is_prime", "d", "ratio"])
-    for r in records:
-        w.writerow([r.exponent, _bool_cell(r.is_prime_index), r.d, r.ratio])
+    _write_table(args, out, ["n", "is_prime", "d", "ratio"],
+                 ([r.exponent, _bool_cell(r.is_prime_index), r.d, r.ratio] for r in records))
     return EXIT_OK
 
 
@@ -220,51 +225,42 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
         d_values = mersenne_path_lengths(rows.indices, args.jobs, args.cycle_guard)
         pairs = list(zip(rows.indices, d_values))
     stats = ratio_stats(pairs)
-    w = _make_writer(args, out)
-    w.writerow(["label", "count", "mean", "sample_variance"])
-    w.writerow([rows.label.value, stats.count, stats.mean, stats.sample_variance])
+    _write_table(args, out, ["label", "count", "mean", "sample_variance"],
+                 [[rows.label.value, stats.count, stats.mean, stats.sample_variance]])
     return EXIT_OK
 
 
 def _cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
     result = fit_loglog([(e.rank, e.exponent) for e in catalog_entries()])
-    w = _make_writer(args, out)
-    w.writerow(["intercept", "slope", "rms_residual"])
-    w.writerow([result.intercept, result.slope, result.rms_residual])
+    _write_table(args, out, ["intercept", "slope", "rms_residual"],
+                 [[result.intercept, result.slope, result.rms_residual]])
     return EXIT_OK
 
 
 def _cmd_heuristic(args: argparse.Namespace, out: TextIO) -> int:
-    estimate = mersenne_heuristic(args.n)
-    w = _make_writer(args, out)
-    w.writerow(["n", "estimate"])
-    w.writerow([args.n, estimate])
+    _write_table(args, out, ["n", "estimate"], [[args.n, mersenne_heuristic(args.n)]])
     return EXIT_OK
 
 
 def _cmd_lucas_lehmer(args: argparse.Namespace, out: TextIO) -> int:
-    verdict = _bool_cell(lucas_lehmer(args.p))
-    w = _make_writer(args, out)
-    w.writerow(["p", "mersenne_prime"])
-    w.writerow([args.p, verdict])
+    _write_table(args, out, ["p", "mersenne_prime"], [[args.p, _bool_cell(lucas_lehmer(args.p))]])
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("csv", "tsv"), default="csv",
-        help="output delimiter family (default csv)",
-    )
-    common.add_argument(
-        "--jobs", type=_int_at_least(1), default=_available_cpus(), metavar="J",
-        help="processes that compute batch rows at once; above 1 they are forked "
-        "children (default: available parallelism)",
-    )
-    common.add_argument(
-        "--cycle-guard", type=_int_at_least(1), default=DEFAULT_CYCLE_GUARD, metavar="STEPS",
-        help="step ceiling before an iteration fails loudly (default 10^12)",
-    )
+    # The flags several subcommands share; each subcommand takes only the
+    # ones its handler reads, so any other is an unrecognized argument.
+    shared = {
+        "--format": dict(choices=("csv", "tsv"), default="csv",
+                         help="output delimiter family (default csv)"),
+        "--jobs": dict(
+            type=_int_at_least(1), default=_available_cpus(), metavar="J",
+            help="processes that compute batch rows at once; above 1 they are forked "
+            "children (default: available parallelism)"),
+        "--cycle-guard": dict(
+            type=_int_at_least(1), default=DEFAULT_CYCLE_GUARD, metavar="STEPS",
+            help="step ceiling before an iteration fails loudly (default 10^12)"),
+    }
 
     parser = argparse.ArgumentParser(
         prog="collatzpath",
@@ -272,7 +268,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pathlen", parents=[common], help="compute D(x) for one expression")
+    def command(name, handler, help, *flags):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("pathlen", _cmd_pathlen, "compute D(x) for one expression",
+                "--format", "--cycle-guard")
     p.add_argument("expr", help="e.g. 27, 2^20, M9689, Mp31")
     p.add_argument("--checkpoint", metavar="FILE", help="persist progress and resume from FILE")
     p.add_argument(
@@ -283,24 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-limit", type=_int_at_least(), metavar="K",
         help="also emit the first K visited values",
     )
-    p.set_defaults(handler=_cmd_pathlen)
 
-    p = sub.add_parser("catalog", parents=[common], help="dump the 47-row reference table")
+    p = command("catalog", _cmd_catalog, "dump the 47-row reference table", "--format")
     p.add_argument("--csv", action="store_true", help="machine format instead of aligned text")
-    p.set_defaults(handler=_cmd_catalog)
 
-    p = sub.add_parser("verify", parents=[common], help="recompute catalog rows and compare")
+    p = command("verify", _cmd_verify, "recompute catalog rows and compare", *shared)
     p.add_argument("--ranks", required=True, metavar="A..B", help="inclusive rank range, e.g. 1..17")
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("scan", parents=[common], help="D and D/n over a window of exponents")
+    p = command("scan", _cmd_scan, "D and D/n over a window of exponents", *shared)
     p.add_argument("--center", type=_int_at_least(2), required=True, metavar="N")
     p.add_argument("--each-side", type=_int_at_least(), default=25, metavar="C")
     p.add_argument("--stride", type=_int_at_least(1), default=5, metavar="S")
     p.add_argument("--primes-only", action="store_true")
-    p.set_defaults(handler=_cmd_scan)
 
-    p = sub.add_parser("stats", parents=[common], help="ratio statistics for a comparison set")
+    p = command("stats", _cmd_stats, "ratio statistics for a comparison set", *shared)
     p.add_argument("--set", required=True, choices=[label.value for label in SetLabel],
                    dest="set_label")
     p.add_argument("--from-rank", type=_int_at_least(), metavar="K")
@@ -309,18 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--recompute", action="store_true",
         help="measure D with the engine instead of using reference values",
     )
-    p.set_defaults(handler=_cmd_stats)
 
-    p = sub.add_parser("fit", parents=[common], help="log-log least-squares line of the catalog")
-    p.set_defaults(handler=_cmd_fit)
+    command("fit", _cmd_fit, "log-log least-squares line of the catalog", "--format")
 
-    p = sub.add_parser("heuristic", parents=[common], help="closed-form estimate of D(2^n - 1)")
+    p = command("heuristic", _cmd_heuristic, "closed-form estimate of D(2^n - 1)", "--format")
     p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.set_defaults(handler=_cmd_heuristic)
 
-    p = sub.add_parser("lucas-lehmer", parents=[common], help="primality of 2^p - 1")
+    p = command("lucas-lehmer", _cmd_lucas_lehmer, "primality of 2^p - 1", "--format")
     p.add_argument("p", type=_int_at_least())
-    p.set_defaults(handler=_cmd_lucas_lehmer)
 
     return parser
 

@@ -283,14 +283,13 @@ def reference_pairs(label: SetLabel) -> tuple[tuple[int, int], ...]:
     return reference_d(index_set(label))
 
 
-def _scan_exponents(center: int, count_each_side: int, stride: int, primes_only: bool) -> list[int]:
+def _scan_exponents(center: int, count_each_side: int, stride: int, primes_only: bool) -> Sequence[int]:
     if primes_only:
         below = primes_from(center, count_each_side, stride, -1)
         middle = [center] if is_prime(center) else []
         return below[::-1] + middle + primes_from(center, count_each_side, stride, 1)
-    below = [center - j * stride for j in range(count_each_side, 0, -1)]
-    above = [center + j * stride for j in range(1, count_each_side + 1)]
-    return [n for n in below if n >= 2] + [center] + above
+    low = center - stride * min(count_each_side, (center - 2) // stride)
+    return range(low, center + count_each_side * stride + 1, stride)
 
 
 def _mersenne_d(n: int, cycle_guard: int) -> int:

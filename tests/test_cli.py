@@ -1,5 +1,6 @@
 """Command-line behaviour, run in-process through main()."""
 
+import argparse
 import csv as csv_module
 import os
 import subprocess
@@ -23,7 +24,7 @@ from collatzpath import (
     path_length,
     ratio_stats,
 )
-from collatzpath.cli import _UsageError, main, parse_rank_range
+from collatzpath.cli import _UsageError, build_parser, main, parse_rank_range
 from collatzpath.errors import CollatzPathError
 
 
@@ -85,6 +86,72 @@ def test_tsv_format(capsys):
     header, row = rows(out, delimiter="\t")
     assert header[0] == "expr" and row[0] == "M7"
     assert "\t" in out.splitlines()[0]
+
+
+# Every subcommand that prints a table, with small inputs.
+TABLES = {
+    "pathlen": ("pathlen", "27", "--trace-limit", "4"),
+    "catalog": ("catalog", "--csv"),
+    "verify": ("verify", "--ranks", "1..5", "--jobs", "2"),
+    "scan": ("scan", "--center", "16", "--each-side", "2", "--stride", "3", "--jobs", "1"),
+    "stats": ("stats", "--set", "mersenne"),
+    "fit": ("fit",),
+    "heuristic": ("heuristic", "--n", "127"),
+    "lucas-lehmer": ("lucas-lehmer", "127"),
+}
+
+
+@pytest.mark.parametrize("argv", TABLES.values(), ids=TABLES.keys())
+def test_tsv_is_the_csv_with_tabs(capsys, argv):
+    code, csv_out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *argv, "--format", "tsv") == (0, csv_out.replace(",", "\t"), "")
+    assert "\t" not in csv_out and "," in csv_out.splitlines()[0]
+
+
+# The shared flags each subcommand reads; it takes no other.
+SHARED_FLAGS = {
+    "pathlen": {"--format", "--cycle-guard"},
+    "catalog": {"--format"},
+    "verify": {"--format", "--jobs", "--cycle-guard"},
+    "scan": {"--format", "--jobs", "--cycle-guard"},
+    "stats": {"--format", "--jobs", "--cycle-guard"},
+    "fit": {"--format"},
+    "heuristic": {"--format"},
+    "lucas-lehmer": {"--format"},
+}
+
+
+@pytest.mark.parametrize("name, flags", SHARED_FLAGS.items(), ids=SHARED_FLAGS.keys())
+def test_each_subcommand_takes_only_the_shared_flags_it_reads(name, flags):
+    (subcommands,) = [
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert subcommands.keys() == SHARED_FLAGS.keys()
+    options = {text for action in subcommands[name]._actions for text in action.option_strings}
+    assert options & {"--format", "--jobs", "--cycle-guard"} == flags
+
+
+# A shared flag the subcommand never reads is an unrecognized argument.
+REFUSED_FLAGS = {
+    "pathlen-jobs": ("pathlen", "M7", "--jobs", "2"),
+    "catalog-jobs": ("catalog", "--jobs", "2"),
+    "catalog-cycle-guard": ("catalog", "--cycle-guard", "5"),
+    "fit-jobs": ("fit", "--jobs", "2"),
+    "fit-cycle-guard": ("fit", "--cycle-guard", "5"),
+    "heuristic-jobs": ("heuristic", "--n", "127", "--jobs", "2"),
+    "heuristic-cycle-guard": ("heuristic", "--n", "127", "--cycle-guard", "5"),
+    "lucas-lehmer-jobs": ("lucas-lehmer", "127", "--jobs", "2"),
+    "lucas-lehmer-cycle-guard": ("lucas-lehmer", "127", "--cycle-guard", "5"),
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED_FLAGS.values(), ids=REFUSED_FLAGS.keys())
+def test_a_shared_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
 def test_catalog_csv(capsys):
@@ -383,6 +450,10 @@ ONE_LINE_FAILURES = {
     "lucas-lehmer-negative": (
         ("lucas-lehmer", "--", "-3"), 2,
         "collatzpath lucas-lehmer: error: argument p: invalid int value: '-3'",
+    ),
+    "checkpoint-empty": (
+        ("pathlen", "M7", "--checkpoint", ""), 2,
+        "collatzpath: usage error: --checkpoint needs a file name",
     ),
     "from-rank-zero": (
         ("stats", "--set", "mersenne", "--from-rank", "0"), 2,

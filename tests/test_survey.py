@@ -1,5 +1,7 @@
 """Index-set construction, ratio statistics, and the scan window logic."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -365,6 +367,38 @@ def test_prime_window_strides_and_truncates_near_two():
     assert _scan_exponents(2, 3, 2, True) == [2, 5, 11, 17]
     assert _scan_exponents(4, 3, 1, True) == [2, 3, 5, 7, 11]
     assert _scan_exponents(8, 3, 2, True) == [2, 5, 13, 19, 29]
+
+
+def _integer_window(center, count, stride):
+    # The integer-mode window spelled out term by term: the reference the
+    # lazy range is checked against.
+    below = [center - j * stride for j in range(count, 0, -1)]
+    above = [center + j * stride for j in range(1, count + 1)]
+    return [n for n in below if n >= 2] + [center] + above
+
+
+@given(
+    center=st.integers(2, 10**6),
+    count=st.integers(0, 40),
+    stride=st.integers(1, 50),
+)
+def test_integer_window_matches_the_term_by_term_list(center, count, stride):
+    window = _scan_exponents(center, count, stride, False)
+    assert list(window) == _integer_window(center, count, stride)
+
+
+def test_a_wide_integer_window_costs_no_memory_to_build():
+    # The narrower window first: a window listed in full fails there, at a
+    # few MB, before the 10**9 one could exhaust memory.
+    for each_side in (10**5, 10**9):
+        tracemalloc.start()
+        try:
+            window = _scan_exponents(100, each_side, 1, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, each_side
+        assert (window[0], window[-1], len(window)) == (2, each_side + 100, each_side + 99)
 
 
 def test_scan_count_zero_is_empty():
