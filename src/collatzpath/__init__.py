@@ -61,10 +61,8 @@ from .errors import (
 from .expressions import ExpressionKind, NumberExpression, parse_expression
 from .heuristics import (
     C0,
-    CONSTANTS,
     MERSENNE_SLOPE,
     FitResult,
-    HeuristicConstants,
     fit_loglog,
     heuristic_path_length,
     mersenne_heuristic,
@@ -74,21 +72,12 @@ from .survey import (
     SET_C_SOURCE_RANKS,
     SET_D_FIT_RANKS,
     IndexSet,
-    Provenance,
     RatioStats,
     ScanRecord,
     SetLabel,
-    double_exponents,
-    fit_line_indices,
-    fixture_set_C,
-    fixture_set_D,
-    generate_set_A,
-    generate_set_B,
     index_set,
-    mersenne_set,
     ratio_stats,
     reference_d,
-    reference_pairs,
     scan_ratios,
 )
 
@@ -98,7 +87,6 @@ __all__ = [
     "C0",
     "CATALOG_SIZE",
     "CHECKPOINT_VERSION",
-    "CONSTANTS",
     "DEFAULT_CYCLE_GUARD",
     "MERSENNE_SLOPE",
     "RANK_45_EXPONENT_MISPRINT",
@@ -114,7 +102,6 @@ __all__ = [
     "DomainError",
     "ExpressionKind",
     "FitResult",
-    "HeuristicConstants",
     "IndexSet",
     "IterationState",
     "MalformedField",
@@ -123,7 +110,6 @@ __all__ = [
     "OriginMismatch",
     "ParseError",
     "PathResult",
-    "Provenance",
     "RangeError",
     "RatioStats",
     "ScanRecord",
@@ -136,13 +122,7 @@ __all__ = [
     "checkpoint_read",
     "checkpoint_write",
     "collatz_next",
-    "double_exponents",
-    "fit_line_indices",
     "fit_loglog",
-    "fixture_set_C",
-    "fixture_set_D",
-    "generate_set_A",
-    "generate_set_B",
     "heuristic_path_length",
     "index_set",
     "initial_state",
@@ -150,7 +130,6 @@ __all__ = [
     "lucas_lehmer",
     "mersenne_heuristic",
     "mersenne_number",
-    "mersenne_set",
     "next_prime",
     "odd_step_accelerated",
     "parse_expression",
@@ -159,7 +138,6 @@ __all__ = [
     "ratio_stats",
     "raw_advance",
     "reference_d",
-    "reference_pairs",
     "scan_ratios",
     "serialize_checkpoint",
     "trace",

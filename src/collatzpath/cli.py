@@ -4,7 +4,9 @@ Every analysis the library performs is reachable here, and everything is
 emitted as CSV (or TSV) so downstream plotting is two columns away.  Exit
 codes: 0 success, 1 verification mismatch, 2 usage or expression parse
 error, 3 runtime failure (guard trips, checkpoint damage, I/O, memory), 130
-interrupted (Ctrl-C), reported in one line.
+interrupted (Ctrl-C), each reported in one line, and 141 (128 + SIGPIPE,
+as 130 is 128 + SIGINT) with nothing printed when the reader of stdout has
+closed it.
 
 Every number typed here is read in the notation's decimal form
 (expressions.parse_decimal): each integer option, the lucas-lehmer
@@ -15,7 +17,8 @@ alone (catalog_entries), for --ranks and the stats bounds alike.
 Of the shared flags --format, --jobs and --cycle-guard, each subcommand
 takes only those its handler reads: --jobs only verify, scan and stats,
 --cycle-guard those and pathlen.  Any other is an unrecognized argument
-(exit 2).  Every table is written by _write_table.
+(exit 2), and so is catalog --format tsv without --csv, whose aligned
+text has no delimiter.  Every table is written by _write_table.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 141
 
 # Above this exponent a recomputation stops being an interactive wait:
 # D(2**n - 1) takes about 6 s at n = 3M and 21 s at n = 7M on one core of
@@ -164,6 +168,8 @@ def _cmd_pathlen(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace, out: TextIO) -> int:
+    if args.format == "tsv" and not args.csv:
+        raise _UsageError("--format tsv needs --csv")
     entries = catalog_entries()
     if args.csv:
         _write_table(args, out, ["rank", "exponent", "reference_d", "reference_ratio"],
@@ -328,7 +334,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        return args.handler(args, sys.stdout)
+        code = args.handler(args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone, so there is no one to tell.  Exit
+        # as a SIGPIPE would, and point stdout at devnull so the flush at
+        # exit has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except KeyboardInterrupt:
         print("collatzpath: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

@@ -32,17 +32,6 @@ MERSENNE_SLOPE = 2.0 + C0 * math.log(3.0)
 
 
 @dataclass(frozen=True)
-class HeuristicConstants:
-    """The two derived constants, bundled for reporting."""
-
-    c0: float = C0
-    mersenne_slope: float = MERSENNE_SLOPE
-
-
-CONSTANTS = HeuristicConstants()
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Least-squares line y = intercept + slope * k and its residual RMS."""
 

@@ -16,9 +16,9 @@ reference path lengths, so statistics on the default rows are instant.
 The catalog's rules stay in catalog: rank bounds are checked by
 catalog_entries alone, and set A and the prime windows of scan_ratios
 walk to their primes with primes_from.
-Sets C and D were hand-selected rather than generated by a fixed rule, so
-they ship as verbatim fixtures; best-effort generators for their selection
-idea are provided alongside.  The test suite recomputes the rows of sets A
+Sets C and D were hand-selected, so they ship as verbatim fixtures, the
+n column of _REFERENCE_D; the test suite rebuilds both from the selection
+rules written beside it.  It also recomputes the rows of sets A
 to D with n below 150,000 in the default tier and those up to 1,500,000
 under -m long; the 14 rows above that stand as unverified reference data,
 as do catalog ranks 36 and up in the mersenne row.
@@ -42,7 +42,6 @@ from .errors import (
     checked_int,
     int_text,
 )
-from .heuristics import FitResult
 
 
 class SetLabel(str, Enum):
@@ -51,11 +50,6 @@ class SetLabel(str, Enum):
     B = "B"
     C = "C"
     D = "D"
-
-
-class Provenance(str, Enum):
-    GENERATED = "generated"
-    FIXTURE = "fixture"
 
 
 def _set_label(label: object) -> SetLabel:
@@ -72,7 +66,6 @@ class IndexSet:
 
     label: SetLabel
     indices: tuple[int, ...]
-    provenance: Provenance
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "label", _set_label(self.label))
@@ -107,75 +100,6 @@ class ScanRecord:
     ratio: float
 
 
-def mersenne_set(from_rank: int = 26, to_rank: int = 38) -> IndexSet:
-    """Catalog exponents for ranks from_rank..to_rank inclusive."""
-    indices = tuple(e.exponent for e in catalog_entries(from_rank, to_rank))
-    return IndexSet(label=SetLabel.MERSENNE, indices=indices, provenance=Provenance.FIXTURE)
-
-
-def generate_set_A(base: IndexSet) -> IndexSet:
-    """The next prime strictly above each base index."""
-    indices = tuple(next_prime(n) for n in base.indices)
-    return IndexSet(label=SetLabel.A, indices=indices, provenance=Provenance.GENERATED)
-
-
-def generate_set_B(from_rank: int = 25, to_rank: int = 38) -> IndexSet:
-    """Floor midpoints of successive catalog exponents.
-
-    Emits (n_k + n_{k+1}) // 2 for each consecutive rank pair in
-    from_rank..to_rank; the default range yields the 13 midpoints between
-    ranks 25 and 38.  Every midpoint in that range is exact (the sums are
-    all even), which the test suite asserts rather than assumes.
-    """
-    rows = catalog_entries(from_rank, to_rank)
-    if len(rows) < 2:
-        raise RangeError(f"need at least two ranks, got only rank {rows[0].rank}")
-    indices = tuple((a.exponent + b.exponent) // 2 for a, b in zip(rows, rows[1:]))
-    return IndexSet(label=SetLabel.B, indices=indices, provenance=Provenance.GENERATED)
-
-
-SET_C_SOURCE_RANKS = (23, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36)
-SET_D_FIT_RANKS = (24, 26, 27, 28, 29, 30, 32, 33, 34, 35, 36, 37, 38)
-
-
-def fixture_set_C() -> IndexSet:
-    """The verbatim doubled-exponent comparison row."""
-    indices = tuple(n for n, _ in _REFERENCE_D[SetLabel.C])
-    return IndexSet(label=SetLabel.C, indices=indices, provenance=Provenance.FIXTURE)
-
-
-def fixture_set_D() -> IndexSet:
-    """The verbatim fit-line comparison row."""
-    indices = tuple(n for n, _ in _REFERENCE_D[SetLabel.D])
-    return IndexSet(label=SetLabel.D, indices=indices, provenance=Provenance.FIXTURE)
-
-
-def double_exponents(base: IndexSet) -> IndexSet:
-    """Companion generator for set C: twice each base index."""
-    indices = tuple(2 * n for n in base.indices)
-    return IndexSet(label=SetLabel.C, indices=indices, provenance=Provenance.GENERATED)
-
-
-def fit_line_indices(fit: FitResult, ranks: tuple[int, ...] = SET_D_FIT_RANKS) -> IndexSet:
-    """Companion generator for set D: round(2**(intercept + slope * k)).
-
-    With the full-catalog fit and the default ranks this reproduces the
-    fixture row exactly; it is still documented as an approximation of a
-    hand-made selection, not as the selection rule itself.  A rank whose
-    index would overflow a float raises RangeError.
-    """
-    indices = []
-    for k in ranks:
-        k = checked_int(k, "rank", 1)
-        try:
-            indices.append(round(2.0 ** (fit.intercept + fit.slope * k)))
-        except OverflowError:
-            raise RangeError(
-                f"rank must keep the index within float range, got {int_text(k, 'value')}"
-            ) from None
-    return IndexSet(label=SetLabel.D, indices=tuple(indices), provenance=Provenance.GENERATED)
-
-
 def ratio_stats(pairs: list[tuple[int, int]]) -> RatioStats:
     """Mean and sample variance of d/n over (n, d) pairs.
 
@@ -206,6 +130,10 @@ def ratio_stats(pairs: list[tuple[int, int]]) -> RatioStats:
     except OverflowError:
         raise RangeError("the mean and variance of d / n must fit a float") from None
     return RatioStats(count=len(ratios), mean=mean, sample_variance=variance)
+
+
+SET_C_SOURCE_RANKS = (23, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36)
+SET_D_FIT_RANKS = (24, 26, 27, 28, 29, 30, 32, 33, 34, 35, 36, 37, 38)
 
 
 # Reference path lengths for the four embedded default rows, as (n, D).
@@ -244,25 +172,41 @@ _REFERENCE_D = {
 }
 
 
+# The default catalog ranks of the rows built from the catalog.  Rows C
+# and D are fixtures with no rank range: their indices are the n column
+# of _REFERENCE_D.
+_DEFAULT_RANKS = {SetLabel.MERSENNE: (26, 38), SetLabel.A: (26, 38), SetLabel.B: (25, 38)}
+
+
 def index_set(label: SetLabel, from_rank: int | None = None, to_rank: int | None = None) -> IndexSet:
     """The row a label names over catalog ranks from_rank..to_rank.
 
+    The mersenne row is the catalog exponents of those ranks, row A the
+    next prime strictly above each, and row B the floor midpoints of
+    successive ones, so B needs at least two ranks (every default
+    midpoint is exact, which the test suite asserts rather than assumes).
     A bound left as None takes the row's own default.  Rows C and D are
     fixtures: a bound for them raises RangeError, as does a rank range
     another row cannot take.  An unknown label raises DomainError.
     """
     label = _set_label(label)
-    given = {"from_rank": from_rank, "to_rank": to_rank}
-    bounds = {name: rank for name, rank in given.items() if rank is not None}
-    if label is SetLabel.C or label is SetLabel.D:
-        if bounds:
+    if label not in _DEFAULT_RANKS:
+        if from_rank is not None or to_rank is not None:
             raise RangeError(f"set {label.value} is a fixture; it takes no rank range")
-        return fixture_set_C() if label is SetLabel.C else fixture_set_D()
-    if label is SetLabel.MERSENNE:
-        return mersenne_set(**bounds)
+        return IndexSet(label, tuple(n for n, _ in _REFERENCE_D[label]))
+    default_from, default_to = _DEFAULT_RANKS[label]
+    rows = catalog_entries(
+        default_from if from_rank is None else from_rank,
+        default_to if to_rank is None else to_rank,
+    )
+    exponents = tuple(e.exponent for e in rows)
     if label is SetLabel.A:
-        return generate_set_A(mersenne_set(**bounds))
-    return generate_set_B(**bounds)
+        exponents = tuple(next_prime(n) for n in exponents)
+    elif label is SetLabel.B:
+        if len(rows) < 2:
+            raise RangeError(f"need at least two ranks, got only rank {rows[0].rank}")
+        exponents = tuple((a + b) // 2 for a, b in zip(exponents, exponents[1:]))
+    return IndexSet(label, exponents)
 
 
 def reference_d(rows: IndexSet) -> tuple[tuple[int, int], ...] | None:
@@ -276,11 +220,6 @@ def reference_d(rows: IndexSet) -> tuple[tuple[int, int], ...] | None:
     if not all(n in known for n in rows.indices):
         return None
     return tuple((n, known[n]) for n in rows.indices)
-
-
-def reference_pairs(label: SetLabel) -> tuple[tuple[int, int], ...]:
-    """(n, D) reference pairs for a default 13-element row."""
-    return reference_d(index_set(label))
 
 
 def _scan_exponents(center: int, count_each_side: int, stride: int, primes_only: bool) -> Sequence[int]:

@@ -20,13 +20,9 @@ from collatzpath import (
     checkpoint_read,
     checkpoint_write,
     fit_loglog,
-    fixture_set_C,
-    fixture_set_D,
-    generate_set_A,
-    generate_set_B,
+    index_set,
     initial_state,
     mersenne_number,
-    mersenne_set,
     parse_expression,
     path_length,
     ratio_stats,
@@ -260,10 +256,10 @@ def test_criterion_09_checkpoint_determinism(criterion, tmp_path):
 
 def test_criterion_10_comparison_sets(criterion):
     def check():
-        assert generate_set_A(mersenne_set(26, 38)).indices == SET_A_ROW
-        assert generate_set_B(25, 38).indices == SET_B_ROW
-        assert fixture_set_C().indices == SET_C_ROW
-        assert fixture_set_D().indices == SET_D_ROW
+        assert index_set("A", 26, 38).indices == SET_A_ROW
+        assert index_set("B", 25, 38).indices == SET_B_ROW
+        assert index_set("C").indices == SET_C_ROW
+        assert index_set("D").indices == SET_D_ROW
         return "sets A, B generated; C, D verbatim"
 
     criterion(10, "all four 13-element comparison rows reproduced", check)
@@ -289,8 +285,8 @@ def test_criterion_11_reference_statistics(criterion):
 
 def test_criterion_12_variance_ordering(criterion):
     def check():
-        mersenne_exponents = mersenne_set(13, 26).indices
-        midpoints = generate_set_B(13, 26).indices
+        mersenne_exponents = index_set("mersenne", 13, 26).indices
+        midpoints = index_set("B", 13, 26).indices
         mersenne_var = ratio_stats(
             [(n, path_length(mersenne_number(n)).d) for n in mersenne_exponents]
         ).sample_variance

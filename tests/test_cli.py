@@ -18,8 +18,6 @@ from collatzpath import (
     checkpoint_write,
     initial_state,
     mersenne_number,
-    mersenne_set,
-    generate_set_A,
     parse_expression,
     path_length,
     ratio_stats,
@@ -174,6 +172,12 @@ def test_catalog_aligned_text(capsys):
     assert lines[1].split() == ["1", "2", "7", "3.5"]
 
 
+def test_catalog_tsv_needs_csv(capsys):
+    assert run_cli(capsys, "catalog", "--format", "tsv") == (
+        2, "", "collatzpath: usage error: --format tsv needs --csv\n"
+    )
+
+
 def test_parse_rank_range():
     assert parse_rank_range("1..17") == (1, 17)
     assert parse_rank_range("32..47") == (32, 47)
@@ -318,7 +322,7 @@ def test_stats_recompute_mersenne_matches_reference(capsys):
     )
     assert code == 0
     row = rows(out)[1]
-    pairs = [(n, path_length(mersenne_number(n)).d) for n in mersenne_set(13, 17).indices]
+    pairs = [(n, path_length(mersenne_number(n)).d) for n in (521, 607, 1279, 2203, 2281)]
     expected = ratio_stats(pairs)
     assert row[1] == "5"
     assert float(row[2]) == expected.mean
@@ -332,8 +336,7 @@ def test_stats_recompute_set_a(capsys):
     )
     assert code == 0
     row = rows(out)[1]
-    exponents = generate_set_A(mersenne_set(16, 17)).indices
-    expected = ratio_stats([(n, path_length(mersenne_number(n)).d) for n in exponents])
+    expected = ratio_stats([(n, path_length(mersenne_number(n)).d) for n in (2207, 2287)])
     assert row[0] == "A" and row[1] == "2"
     assert float(row[2]) == expected.mean
     assert float(row[3]) == expected.sample_variance
@@ -732,6 +735,38 @@ def run_module(*argv):
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+CLOSED_STDOUT = {
+    "verify": ("verify", "--ranks", "1..20", "--jobs", "2"),
+    "catalog": ("catalog", "--csv"),
+    "fit": ("fit",),
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", CLOSED_STDOUT.values(), ids=CLOSED_STDOUT.keys())
+def test_a_closed_stdout_exits_141_in_silence(argv, unbuffered):
+    package_root = os.path.dirname(os.path.dirname(collatzpath.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        # A session of its own makes the command the leader of a process
+        # group that holds its forked children too.
+        process = subprocess.Popen(
+            [sys.executable, "-m", "collatzpath", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, env=env, start_new_session=True,
+        )
+    finally:
+        os.close(write_end)
+    _, err = process.communicate(timeout=60)
+    assert (process.returncode, err) == (141, b"")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(process.pid, 0)
 
 
 @pytest.mark.parametrize("module", ["collatzpath", "collatzpath.cli"])

@@ -11,27 +11,23 @@ from collatzpath import (
     CollatzPathError,
     DomainError,
     ExpressionKind,
-    FitResult,
     IndexSet,
     IterationState,
     NumberExpression,
-    Provenance,
     RangeError,
     SetLabel,
     advance,
     catalog_entries,
     catalog_entry,
     collatz_next,
-    fit_line_indices,
     fit_loglog,
-    generate_set_B,
     heuristic_path_length,
+    index_set,
     initial_state,
     is_prime,
     lucas_lehmer,
     mersenne_heuristic,
     mersenne_number,
-    mersenne_set,
     next_prime,
     odd_step_accelerated,
     parse_expression,
@@ -74,10 +70,9 @@ ENTRY_POINTS = {
     "mersenne_heuristic": mersenne_heuristic,
     "verify_transit_lemma": verify_transit_lemma,
     "fit_loglog": lambda v: fit_loglog([(1, 5), (2, v)]),
-    "IndexSet": lambda v: IndexSet(SetLabel.A, (v,), Provenance.GENERATED),
-    "mersenne_set": lambda v: mersenne_set(v, 3),
-    "generate_set_B": lambda v: generate_set_B(1, v),
-    "fit_line_indices": lambda v: fit_line_indices(FitResult(0.9, 0.55, 0.0), (v,)),
+    "IndexSet": lambda v: IndexSet(SetLabel.A, (v,)),
+    "mersenne_set": lambda v: index_set("mersenne", v, 3),
+    "generate_set_B": lambda v: index_set("B", 1, v),
     "ratio_stats": lambda v: ratio_stats([(v, 5), (2, 4)]),
     "scan_ratios": scan_ratios,
     "NumberExpression": lambda v: NumberExpression(ExpressionKind.DECIMAL, v),
@@ -108,8 +103,6 @@ FLOAT_OVERFLOWS = {
     "heuristic_path_length.Fraction": lambda: heuristic_path_length(Fraction(2**20000)),
     "fit_loglog.rank": lambda: fit_loglog([(2**20000, 5), (1, 7)]),
     "fit_loglog.exponent": lambda: fit_loglog([(1, 2**20000), (2, 7)]),
-    "fit_line_indices": lambda: fit_line_indices(FitResult(0.9, 0.55, 0.0), (10000,)),
-    "fit_line_indices.huge": lambda: fit_line_indices(FitResult(0.9, 0.55, 0.0), (2**20000,)),
     "mersenne_heuristic": lambda: mersenne_heuristic(10**400),
     "ratio_stats.variance": lambda: ratio_stats([(1, 10**300), (1, 0)]),
     # Each fits a float, but its estimate is infinite.

@@ -6,7 +6,6 @@ import pytest
 
 from collatzpath import (
     C0,
-    CONSTANTS,
     MERSENNE_SLOPE,
     DegenerateFitError,
     DomainError,
@@ -27,7 +26,6 @@ def test_constants_recompute_from_scratch():
     assert MERSENNE_SLOPE == 2.0 + c0 * math.log(3.0)
     assert abs(MERSENNE_SLOPE - 13.45652) < 1e-4
     assert abs(C0 - 10.42818) < 1e-5
-    assert CONSTANTS.c0 == C0 and CONSTANTS.mersenne_slope == MERSENNE_SLOPE
 
 
 def test_heuristic_path_length_values():

@@ -13,26 +13,17 @@ from collatzpath import (
     DegenerateStatsError,
     DomainError,
     IndexSet,
-    Provenance,
     RangeError,
     RatioStats,
     SetLabel,
     catalog_entries,
     catalog_entry,
-    double_exponents,
-    fit_line_indices,
     fit_loglog,
-    fixture_set_C,
-    fixture_set_D,
-    generate_set_A,
-    generate_set_B,
     index_set,
     mersenne_number,
-    mersenne_set,
     path_length,
     ratio_stats,
     reference_d,
-    reference_pairs,
     scan_ratios,
 )
 from collatzpath.catalog import primes_from
@@ -54,51 +45,52 @@ MIDPOINT_ROW = (
 )
 
 
+# The fixture rows rebuilt from their selection rules: C doubles the
+# catalog exponents at SET_C_SOURCE_RANKS, D sits on the full-catalog
+# log-log fit line at SET_D_FIT_RANKS.
+FIT = fit_loglog([(e.rank, e.exponent) for e in catalog_entries()])
+DOUBLED_ROW = tuple(2 * catalog_entry(k).exponent for k in SET_C_SOURCE_RANKS)
+FIT_LINE_ROW = tuple(round(2 ** (FIT.intercept + FIT.slope * k)) for k in SET_D_FIT_RANKS)
+
+
 def test_mersenne_set_default():
-    s = mersenne_set()
+    s = index_set("mersenne")
     assert s.label is SetLabel.MERSENNE
-    assert s.provenance is Provenance.FIXTURE
     assert s.indices == MID_RANGE_EXPONENTS
 
 
 def test_mersenne_set_ranges():
-    assert mersenne_set(1, 3).indices == (2, 3, 5)
-    assert mersenne_set(26, 26).indices == (23209,)
+    assert index_set("mersenne", 1, 3).indices == (2, 3, 5)
+    assert index_set("mersenne", 26, 26).indices == (23209,)
     for bad in ((0, 5), (5, 48), (10, 9)):
         with pytest.raises(RangeError):
-            mersenne_set(*bad)
+            index_set("mersenne", *bad)
 
 
 def test_index_set_validation():
     with pytest.raises(DomainError):
-        IndexSet(label=SetLabel.A, indices=(), provenance=Provenance.GENERATED)
+        IndexSet(label=SetLabel.A, indices=())
     with pytest.raises(DomainError):
-        IndexSet(label=SetLabel.A, indices=(0, 5), provenance=Provenance.GENERATED)
+        IndexSet(label=SetLabel.A, indices=(0, 5))
     with pytest.raises(DomainError):
-        IndexSet(label=SetLabel.A, indices=(5, 5), provenance=Provenance.GENERATED)
+        IndexSet(label=SetLabel.A, indices=(5, 5))
     with pytest.raises(DomainError):
-        IndexSet(label=SetLabel.A, indices=(7, 3), provenance=Provenance.GENERATED)
+        IndexSet(label=SetLabel.A, indices=(7, 3))
     with pytest.raises(DomainError, match="got 'Z'"):
-        IndexSet(label="Z", indices=(3,), provenance=Provenance.GENERATED)
-    assert IndexSet(label="A", indices=(3,), provenance=Provenance.GENERATED).label is SetLabel.A
+        IndexSet(label="Z", indices=(3,))
+    assert IndexSet(label="A", indices=(3,)).label is SetLabel.A
 
 
 def test_set_a_is_the_next_prime_row():
-    s = generate_set_A(mersenne_set())
+    s = index_set("A")
     assert s.label is SetLabel.A
-    assert s.provenance is Provenance.GENERATED
     assert s.indices == NEXT_PRIME_ROW
     for base, lifted in zip(MID_RANGE_EXPONENTS, s.indices):
         assert lifted > base
 
 
-def test_set_a_minimal_base():
-    tiny = IndexSet(label=SetLabel.MERSENNE, indices=(1,), provenance=Provenance.FIXTURE)
-    assert generate_set_A(tiny).indices == (2,)
-
-
 def test_set_b_is_the_midpoint_row():
-    s = generate_set_B()
+    s = index_set("B")
     assert s.label is SetLabel.B
     assert s.indices == MIDPOINT_ROW
     # Successive catalog exponents in this range are both odd, so the sums
@@ -109,50 +101,35 @@ def test_set_b_is_the_midpoint_row():
 
 
 def test_set_b_edges():
-    assert generate_set_B(2, 3).indices == (4,)
+    assert index_set("B", 2, 3).indices == (4,)
     with pytest.raises(RangeError):
-        generate_set_B(5, 5)
+        index_set("B", 5, 5)
     with pytest.raises(RangeError):
-        generate_set_B(0, 3)
+        index_set("B", 0, 3)
 
 
 def test_set_b_range_errors():
     # Bounds are catalog_entries' check; only the two-rank rule is set B's.
     with pytest.raises(RangeError, match=r"^ranks must satisfy 1 <= from <= to <= 47, got 10\.\.9$"):
-        generate_set_B(10, 9)
+        index_set("B", 10, 9)
     with pytest.raises(RangeError, match=r"^ranks must satisfy 1 <= from <= to <= 47, got 40\.\.48$"):
-        generate_set_B(40, 48)
+        index_set("B", 40, 48)
     with pytest.raises(RangeError, match="^need at least two ranks, got only rank 5$"):
-        generate_set_B(5, 5)
+        index_set("B", 5, 5)
 
 
 def test_fixture_set_c_doubles_catalog_exponents():
-    s = fixture_set_C()
-    assert s.provenance is Provenance.FIXTURE
+    s = index_set("C")
     assert s.indices[:3] == (22426, 43402, 46418)
     assert len(s.indices) == 13
-    assert s.indices == tuple(2 * catalog_entry(k).exponent for k in SET_C_SOURCE_RANKS)
-
-
-def test_double_exponents_generator():
-    base = IndexSet(label=SetLabel.MERSENNE, indices=(11213,), provenance=Provenance.FIXTURE)
-    assert double_exponents(base).indices == (22426,)
-    ranks_base = IndexSet(
-        label=SetLabel.MERSENNE,
-        indices=tuple(catalog_entry(k).exponent for k in SET_C_SOURCE_RANKS),
-        provenance=Provenance.FIXTURE,
-    )
-    assert double_exponents(ranks_base).indices == fixture_set_C().indices
+    assert s.indices == DOUBLED_ROW
 
 
 def test_fixture_set_d_sits_on_the_fit_line():
-    s = fixture_set_D()
+    s = index_set("D")
     assert s.indices[1] == 43644
     assert len(s.indices) == 13
-    fit = fit_loglog([(e.rank, e.exponent) for e in catalog_entries()])
-    regenerated = fit_line_indices(fit)
-    assert regenerated.indices == s.indices
-    assert regenerated.provenance is Provenance.GENERATED
+    assert s.indices == FIT_LINE_ROW
     assert len(SET_D_FIT_RANKS) == 13
 
 
@@ -170,7 +147,7 @@ def test_ratio_stats_permutation_and_scale_invariance():
 
 
 def test_ratio_stats_uses_the_sample_divisor():
-    pairs = list(reference_pairs(SetLabel.MERSENNE))
+    pairs = list(reference_d(index_set(SetLabel.MERSENNE)))
     stats = ratio_stats(pairs)
     # Divisor count-1 reproduces the published 0.0002977; divisor count
     # would give 0.000275 and miss by three orders of tolerance.
@@ -202,17 +179,16 @@ ROW_INDICES = {
     SetLabel.MERSENNE: MID_RANGE_EXPONENTS,
     SetLabel.A: NEXT_PRIME_ROW,
     SetLabel.B: MIDPOINT_ROW,
+    SetLabel.C: DOUBLED_ROW,
+    SetLabel.D: FIT_LINE_ROW,
 }
 
 
 @pytest.mark.parametrize("label", list(SetLabel))
 def test_reference_pairs_reproduce_published_statistics(label):
-    pairs = reference_pairs(label)
+    pairs = reference_d(index_set(label))
     assert len(pairs) == 13
-    expected_indices = ROW_INDICES.get(label)
-    if expected_indices is None:
-        expected_indices = (fixture_set_C() if label is SetLabel.C else fixture_set_D()).indices
-    assert tuple(n for n, _ in pairs) == expected_indices
+    assert tuple(n for n, _ in pairs) == ROW_INDICES[label]
     stats = ratio_stats(list(pairs))
     mean, variance = PUBLISHED_STATS[label]
     assert abs(stats.mean - mean) < 5e-5
@@ -221,27 +197,25 @@ def test_reference_pairs_reproduce_published_statistics(label):
 
 def test_reference_pairs_rejects_an_unknown_label():
     with pytest.raises(DomainError, match="'mersenne', 'A', 'B', 'C', 'D', got 'Z'"):
-        reference_pairs("Z")
+        reference_d(index_set("Z"))
 
 
 def test_index_set_default_rows():
-    assert index_set("mersenne") == mersenne_set()
-    assert index_set(SetLabel.A) == generate_set_A(mersenne_set())
-    assert index_set("B") == generate_set_B()
-    assert index_set("C") == fixture_set_C()
-    assert index_set("D") == fixture_set_D()
-    assert [index_set(label).indices for label in ROW_INDICES] == list(ROW_INDICES.values())
+    assert [index_set(label) for label in ROW_INDICES] == [
+        IndexSet(label, indices) for label, indices in ROW_INDICES.items()
+    ]
+    assert index_set(SetLabel.A) == index_set("A")
 
 
 def test_index_set_rank_bounds():
-    assert index_set("mersenne", 13, 17) == mersenne_set(13, 17)
-    assert index_set("mersenne", from_rank=30) == mersenne_set(30, 38)
-    assert index_set("mersenne", to_rank=27) == mersenne_set(26, 27)
-    assert index_set("A", 16, 17) == generate_set_A(mersenne_set(16, 17))
-    assert index_set("A", to_rank=30) == generate_set_A(mersenne_set(26, 30))
-    assert index_set("B", 10, 14) == generate_set_B(10, 14)
-    assert index_set("B", from_rank=30) == generate_set_B(30, 38)
-    assert index_set("B", to_rank=30) == generate_set_B(25, 30)
+    assert index_set("mersenne", 13, 17).indices == (521, 607, 1279, 2203, 2281)
+    assert index_set("mersenne", from_rank=30).indices == MID_RANGE_EXPONENTS[4:]
+    assert index_set("mersenne", to_rank=27).indices == MID_RANGE_EXPONENTS[:2]
+    assert index_set("A", 16, 17).indices == (2207, 2287)
+    assert index_set("A", to_rank=30).indices == NEXT_PRIME_ROW[:5]
+    assert index_set("B", 10, 14).indices == (98, 117, 324, 564)
+    assert index_set("B", from_rank=30).indices == MIDPOINT_ROW[5:]
+    assert index_set("B", to_rank=30).indices == MIDPOINT_ROW[:5]
     for label, bounds in (("mersenne", (40, 50)), ("A", (5, 4)), ("B", (14, 14))):
         with pytest.raises(RangeError):
             index_set(label, *bounds)
@@ -262,17 +236,16 @@ def test_index_set_rejects_an_unknown_label():
 def test_reference_d_covers_the_default_rows_and_catalog_ranges():
     for label in SetLabel:
         pairs = reference_d(index_set(label))
-        assert pairs == reference_pairs(label)
-        assert tuple(n for n, _ in pairs) == index_set(label).indices
+        assert tuple(n for n, _ in pairs) == ROW_INDICES[label]
     catalog = {e.exponent: e.reference_d for e in catalog_entries()}
-    assert reference_d(mersenne_set(1, 5)) == tuple((n, catalog[n]) for n in (2, 3, 5, 7, 13))
+    assert reference_d(index_set("mersenne", 1, 5)) == tuple((n, catalog[n]) for n in (2, 3, 5, 7, 13))
 
 
 def test_reference_d_is_none_when_an_index_is_missing():
     assert reference_d(index_set("A", 16, 17)) is None
     assert reference_d(index_set("B", 10, 14)) is None
     # One embedded index and one foreign one.
-    mixed = IndexSet(label=SetLabel.C, indices=(22426, 22427), provenance=Provenance.GENERATED)
+    mixed = IndexSet(label=SetLabel.C, indices=(22426, 22427))
     assert reference_d(mixed) is None
 
 
@@ -289,7 +262,7 @@ def test_reference_rows_recompute(low, high):
     rows = [
         (label, n, d)
         for label in (SetLabel.A, SetLabel.B, SetLabel.C, SetLabel.D)
-        for n, d in reference_pairs(label)
+        for n, d in reference_d(index_set(label))
         if low <= n <= high
     ]
     assert len(rows) == 19
