@@ -69,8 +69,6 @@ from .heuristics import (
     verify_transit_lemma,
 )
 from .survey import (
-    SET_C_SOURCE_RANKS,
-    SET_D_FIT_RANKS,
     IndexSet,
     RatioStats,
     ScanRecord,
@@ -90,8 +88,6 @@ __all__ = [
     "DEFAULT_CYCLE_GUARD",
     "MERSENNE_SLOPE",
     "RANK_45_EXPONENT_MISPRINT",
-    "SET_C_SOURCE_RANKS",
-    "SET_D_FIT_RANKS",
     "CatalogEntry",
     "Checkpoint",
     "ChecksumMismatch",

@@ -17,8 +17,16 @@ alone (catalog_entries), for --ranks and the stats bounds alike.
 Of the shared flags --format, --jobs and --cycle-guard, each subcommand
 takes only those its handler reads: --jobs only verify, scan and stats,
 --cycle-guard those and pathlen.  Any other is an unrecognized argument
-(exit 2), and so is catalog --format tsv without --csv, whose aligned
-text has no delimiter.  Every table is written by _write_table.
+(exit 2).  A flag that only means something beside another is a usage
+error (exit 2) without it: catalog --format without --csv, whose aligned
+text has no delimiter, and pathlen --checkpoint-interval without
+--checkpoint.  Every table is written by _write_table.
+
+pathlen has one run: it resumes the --checkpoint file when there is one
+(else starts at the expression's value) and calls advance in
+checkpoint-interval budgets until the value halts, writing the checkpoint
+after each budget only when --checkpoint was given.  A checkpointed run
+therefore prints what a plain one prints.
 """
 
 from __future__ import annotations
@@ -31,14 +39,7 @@ from typing import Iterable, TextIO
 
 from .catalog import catalog_entries, lucas_lehmer
 from .checkpoint import checkpoint_read, checkpoint_write
-from .engine import (
-    DEFAULT_CYCLE_GUARD,
-    PathResult,
-    advance,
-    initial_state,
-    path_length,
-    trace,
-)
+from .engine import DEFAULT_CYCLE_GUARD, advance, initial_state, trace
 from .errors import CollatzPathError, OriginMismatch, ParseError, RangeError
 from .expressions import NumberExpression, decimal_text, parse_decimal, parse_expression
 from .heuristics import fit_loglog, mersenne_heuristic
@@ -118,11 +119,14 @@ def parse_rank_range(text: str) -> tuple[int, int]:
     return low, high
 
 
-def _run_checkpointed(
-    expr: NumberExpression, path: str, interval: int, guard: int
-) -> PathResult:
-    if os.path.exists(path):
-        state = checkpoint_read(path).to_state()
+def _cmd_pathlen(args: argparse.Namespace, out: TextIO) -> int:
+    if args.checkpoint == "":
+        raise _UsageError("--checkpoint needs a file name")
+    if args.checkpoint is None and args.checkpoint_interval is not None:
+        raise _UsageError("--checkpoint-interval needs --checkpoint")
+    expr = parse_expression(args.expr)
+    if args.checkpoint is not None and os.path.exists(args.checkpoint):
+        state = checkpoint_read(args.checkpoint).to_state()
         if state.origin != expr:
             raise OriginMismatch(
                 f"checkpoint is for {state.origin.source_text!r}, "
@@ -130,34 +134,20 @@ def _run_checkpointed(
             )
     else:
         state = initial_state(expr.resolve(), origin=expr)
+    interval = args.checkpoint_interval or DEFAULT_CHECKPOINT_INTERVAL
     while not state.halted:
-        state = advance(state, interval, cycle_guard=guard)
-        checkpoint_write(path, state)
-    return PathResult(
-        d=state.steps,
-        odd_steps=state.odd_steps,
-        even_steps=state.even_steps,
-        peak_bit_length=state.peak_bit_length,
-    )
-
-
-def _cmd_pathlen(args: argparse.Namespace, out: TextIO) -> int:
-    if args.checkpoint == "":
-        raise _UsageError("--checkpoint needs a file name")
-    expr = parse_expression(args.expr)
-    if args.checkpoint is not None:
-        result = _run_checkpointed(expr, args.checkpoint, args.checkpoint_interval, args.cycle_guard)
-    else:
-        result = path_length(expr.resolve(), cycle_guard=args.cycle_guard)
+        state = advance(state, interval, cycle_guard=args.cycle_guard)
+        if args.checkpoint is not None:
+            checkpoint_write(args.checkpoint, state)
     exponent = expr.mersenne_exponent()
     header = ["expr", "n", "d", "odd_steps", "even_steps", "peak_bit_length"]
     row = [
         expr.source_text,
         "" if exponent is None else exponent,
-        result.d,
-        result.odd_steps,
-        result.even_steps,
-        result.peak_bit_length,
+        state.steps,
+        state.odd_steps,
+        state.even_steps,
+        state.peak_bit_length,
     ]
     if args.trace_limit is not None:
         entries = trace(expr.resolve(), args.trace_limit, cycle_guard=args.cycle_guard)
@@ -168,8 +158,8 @@ def _cmd_pathlen(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace, out: TextIO) -> int:
-    if args.format == "tsv" and not args.csv:
-        raise _UsageError("--format tsv needs --csv")
+    if args.format is not None and not args.csv:
+        raise _UsageError(f"--format {args.format} needs --csv")
     entries = catalog_entries()
     if args.csv:
         _write_table(args, out, ["rank", "exponent", "reference_d", "reference_ratio"],
@@ -256,8 +246,10 @@ def _cmd_lucas_lehmer(args: argparse.Namespace, out: TextIO) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # The flags several subcommands share; each subcommand takes only the
     # ones its handler reads, so any other is an unrecognized argument.
+    # --format has no default, so catalog can tell a typed one from none;
+    # _write_table writes commas for anything but tsv.
     shared = {
-        "--format": dict(choices=("csv", "tsv"), default="csv",
+        "--format": dict(choices=("csv", "tsv"),
                          help="output delimiter family (default csv)"),
         "--jobs": dict(
             type=_int_at_least(1), default=_available_cpus(), metavar="J",
@@ -286,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr", help="e.g. 27, 2^20, M9689, Mp31")
     p.add_argument("--checkpoint", metavar="FILE", help="persist progress and resume from FILE")
     p.add_argument(
-        "--checkpoint-interval", type=_int_at_least(1), default=DEFAULT_CHECKPOINT_INTERVAL,
-        metavar="N", help="steps between checkpoint writes (default 10^7)",
+        "--checkpoint-interval", type=_int_at_least(1), metavar="N",
+        help="steps between checkpoint writes (default 10^7)",
     )
     p.add_argument(
         "--trace-limit", type=_int_at_least(), metavar="K",

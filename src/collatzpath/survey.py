@@ -17,11 +17,11 @@ The catalog's rules stay in catalog: rank bounds are checked by
 catalog_entries alone, and set A and the prime windows of scan_ratios
 walk to their primes with primes_from.
 Sets C and D were hand-selected, so they ship as verbatim fixtures, the
-n column of _REFERENCE_D; the test suite rebuilds both from the selection
-rules written beside it.  It also recomputes the rows of sets A
-to D with n below 150,000 in the default tier and those up to 1,500,000
-under -m long; the 14 rows above that stand as unverified reference data,
-as do catalog ranks 36 and up in the mersenne row.
+n column of _REFERENCE_D; tests/test_survey.py holds their rank lists and
+rebuilds both rows from them.  The test suite also recomputes the rows of
+sets A to D with n below 150,000 in the default tier and those up to
+1,500,000 under -m long; the 14 rows above that stand as unverified
+reference data, as do catalog ranks 36 and up in the mersenne row.
 """
 
 from __future__ import annotations
@@ -132,16 +132,13 @@ def ratio_stats(pairs: list[tuple[int, int]]) -> RatioStats:
     return RatioStats(count=len(ratios), mean=mean, sample_variance=variance)
 
 
-SET_C_SOURCE_RANKS = (23, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36)
-SET_D_FIT_RANKS = (24, 26, 27, 28, 29, 30, 32, 33, 34, 35, 36, 37, 38)
-
-
 # Reference path lengths for the four embedded default rows, as (n, D).
 # The n column of rows C and D is also their verbatim hand-selected index
-# list: set C doubles the catalog exponents of the ranks in
-# SET_C_SOURCE_RANKS, and set D sits on the catalog log-log fit line at the
-# ranks in SET_D_FIT_RANKS (round(2**(intercept + slope * k))).  The test
-# suite recomputes every row with n up to 1,500,000 (those from 150,000 up
+# list: set C doubles the exponents of thirteen catalog ranks, and set D
+# sits on the catalog log-log fit line at thirteen ranks
+# (round(2**(intercept + slope * k))); tests/test_survey.py holds both
+# rank lists and rebuilds the two rows from them.  The test suite
+# recomputes every row with n up to 1,500,000 (those from 150,000 up
 # under -m long); the 14 rows above that are unverified reference data on
 # the same footing as catalog ranks 36 and up.
 _REFERENCE_D = {

@@ -458,6 +458,15 @@ ONE_LINE_FAILURES = {
         ("pathlen", "M7", "--checkpoint", ""), 2,
         "collatzpath: usage error: --checkpoint needs a file name",
     ),
+    # A flag read only beside another is refused without it, before any work.
+    "checkpoint-interval-alone": (
+        ("pathlen", "M7", "--checkpoint-interval", "5"), 2,
+        "collatzpath: usage error: --checkpoint-interval needs --checkpoint",
+    ),
+    "catalog-format-csv-alone": (
+        ("catalog", "--format", "csv"), 2,
+        "collatzpath: usage error: --format csv needs --csv",
+    ),
     "from-rank-zero": (
         ("stats", "--set", "mersenne", "--from-rank", "0"), 2,
         "collatzpath: usage error: ranks must satisfy 1 <= from <= to <= 47, got 0..38",
@@ -535,7 +544,7 @@ def test_an_interrupt_is_one_line_and_exit_130(capsys, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr("collatzpath.cli.path_length", interrupted)
+    monkeypatch.setattr("collatzpath.cli.advance", interrupted)
     assert run_cli(capsys, "pathlen", "27") == (130, "", "collatzpath: interrupted\n")
 
 
@@ -608,7 +617,7 @@ def test_unforeseen_failure_is_one_line_and_a_runtime_exit(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("something unforeseen")
 
-    monkeypatch.setattr("collatzpath.cli.path_length", broken)
+    monkeypatch.setattr("collatzpath.cli.advance", broken)
     code, out, err = run_cli(capsys, "pathlen", "27")
     assert code == 3 and out == ""
     assert err == "collatzpath: error: ValueError: something unforeseen\n"
@@ -618,7 +627,7 @@ def test_running_out_of_memory_is_one_line_and_a_runtime_exit(capsys, monkeypatc
     def exhausted(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr("collatzpath.cli.path_length", exhausted)
+    monkeypatch.setattr("collatzpath.cli.advance", exhausted)
     assert run_cli(capsys, "pathlen", "27") == (3, "", "collatzpath: error: out of memory\n")
 
 
@@ -703,6 +712,30 @@ def test_a_checkpointed_guard_trip_names_the_start(tmp_path, capsys):
     assert "a 2203-bit start 0xffffffffffffffff..." in plain[2]
     ckpt = str(tmp_path / "m2203.ckpt")
     assert run_cli(capsys, *argv, "--checkpoint", ckpt, "--checkpoint-interval", "5000") == plain
+
+
+def test_a_plain_run_over_several_budgets_prints_one_budget_bytes(tmp_path, capsys, monkeypatch):
+    argv = ("pathlen", "M2203")
+    unsplit = run_cli(capsys, *argv)
+    d, odd, even, peak = naive_path_length(2**2203 - 1)
+    assert unsplit == (0, f"expr,n,d,odd_steps,even_steps,peak_bit_length\n"
+                          f"M2203,2203,{d},{odd},{even},{peak}\n", "")
+    calls = []
+
+    def spy(state, budget, **kwargs):
+        calls.append(budget)
+        return advance(state, budget, **kwargs)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("collatzpath.cli.DEFAULT_CHECKPOINT_INTERVAL", 1000)
+    monkeypatch.setattr("collatzpath.cli.advance", spy)
+    assert run_cli(capsys, *argv) == unsplit
+    assert len(calls) > 1 and set(calls) == {1000}
+    assert run_cli(capsys, *argv, "--cycle-guard", "20000") == (
+        3, "", "collatzpath: error: step count exceeded the cycle guard (20000) iterating "
+        "from a 2203-bit start 0xffffffffffffffff...\n",
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_interval_split_is_invisible(tmp_path, capsys):
