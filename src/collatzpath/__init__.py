@@ -25,7 +25,6 @@ from .catalog import (
     primes_from,
 )
 from .checkpoint import (
-    CHECKPOINT_VERSION,
     Checkpoint,
     checkpoint_from_state,
     checkpoint_read,
@@ -35,10 +34,8 @@ from .checkpoint import (
 from .engine import (
     DEFAULT_CYCLE_GUARD,
     IterationState,
-    Natural,
     PathResult,
     advance,
-    collatz_next,
     initial_state,
     odd_step_accelerated,
     path_length,
@@ -84,7 +81,6 @@ __version__ = "0.1.0"
 __all__ = [
     "C0",
     "CATALOG_SIZE",
-    "CHECKPOINT_VERSION",
     "DEFAULT_CYCLE_GUARD",
     "MERSENNE_SLOPE",
     "RANK_45_EXPONENT_MISPRINT",
@@ -101,7 +97,6 @@ __all__ = [
     "IndexSet",
     "IterationState",
     "MalformedField",
-    "Natural",
     "NumberExpression",
     "OriginMismatch",
     "ParseError",
@@ -117,7 +112,6 @@ __all__ = [
     "checkpoint_from_state",
     "checkpoint_read",
     "checkpoint_write",
-    "collatz_next",
     "fit_loglog",
     "heuristic_path_length",
     "index_set",

@@ -23,10 +23,11 @@ text has no delimiter, and pathlen --checkpoint-interval without
 --checkpoint.  Every table is written by _write_table.
 
 pathlen has one run: it resumes the --checkpoint file when there is one
-(else starts at the expression's value) and calls advance in
-checkpoint-interval budgets until the value halts, writing the checkpoint
-after each budget only when --checkpoint was given.  A checkpointed run
-therefore prints what a plain one prints.
+(else starts at the expression's value) and calls advance until the value
+halts.  A plain run is one advance to the cycle guard; only a run that
+writes a checkpoint takes checkpoint-interval budgets, writing the file
+after each.  The state after B rule applications depends on B alone, so a
+checkpointed run prints what a plain one prints.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .catalog import catalog_entries, lucas_lehmer
 from .checkpoint import checkpoint_read, checkpoint_write
 from .engine import DEFAULT_CYCLE_GUARD, advance, initial_state, trace
 from .errors import CollatzPathError, OriginMismatch, ParseError, RangeError
-from .expressions import NumberExpression, decimal_text, parse_decimal, parse_expression
+from .expressions import decimal_text, parse_decimal, parse_expression
 from .heuristics import fit_loglog, mersenne_heuristic
 from .survey import (
     SetLabel,
@@ -134,7 +135,11 @@ def _cmd_pathlen(args: argparse.Namespace, out: TextIO) -> int:
             )
     else:
         state = initial_state(expr.resolve(), origin=expr)
-    interval = args.checkpoint_interval or DEFAULT_CHECKPOINT_INTERVAL
+    if args.checkpoint is None:
+        # The budget path_length takes: a walk still running past it trips the guard.
+        interval = args.cycle_guard + 1
+    else:
+        interval = args.checkpoint_interval or DEFAULT_CHECKPOINT_INTERVAL
     while not state.halted:
         state = advance(state, interval, cycle_guard=args.cycle_guard)
         if args.checkpoint is not None:

@@ -80,9 +80,6 @@ from .errors import CycleGuardExceeded, DomainError, checked_int, int_text
 if TYPE_CHECKING:
     from .expressions import NumberExpression
 
-# The universe of values: arbitrary-precision non-negative integers.
-Natural = int
-
 DEFAULT_CYCLE_GUARD = 10**12
 
 # The most shortcut steps a leaf takes; a multiple of the table's 8.
@@ -171,7 +168,7 @@ class IterationState:
     input.  States are immutable; advancing returns a new state.
     """
 
-    current: Natural
+    current: int
     steps: int = 0
     odd_steps: int = 0
     even_steps: int = 0
@@ -193,7 +190,7 @@ class IterationState:
         return self.current == 1
 
 
-def initial_state(x: Natural, origin: NumberExpression | None = None) -> IterationState:
+def initial_state(x: int, origin: NumberExpression | None = None) -> IterationState:
     """Fresh state at x with zeroed counters."""
     x = checked_int(x, "x", 1)
     return IterationState(
@@ -206,23 +203,12 @@ def initial_state(x: Natural, origin: NumberExpression | None = None) -> Iterati
     )
 
 
-def collatz_next(x: Natural) -> Natural:
-    """One rule application: 3x+1 for odd x, x/2 for even x.
-
-    There is no halting special case; 1 maps to 4.
-    """
-    x = checked_int(x, "x", 1)
-    if x & 1:
-        return 3 * x + 1
-    return x >> 1
-
-
-def odd_step_accelerated(x: Natural) -> tuple[Natural, int]:
+def odd_step_accelerated(x: int) -> tuple[int, int]:
     """Fused step from an odd value.
 
     Returns (y / 2**t, 1 + t) where y = 3x+1 and t is the number of
-    trailing zero bits of y.  Equivalent to 1 + t applications of
-    collatz_next; the returned value is odd (possibly 1).
+    trailing zero bits of y.  Equivalent to 1 + t rule applications;
+    the returned value is odd (possibly 1).
     """
     x = checked_int(x, "x", 1)
     if not x & 1:
@@ -387,7 +373,7 @@ def _walk(
     return x, odd, even, peak
 
 
-def path_length(x: Natural, *, cycle_guard: int = DEFAULT_CYCLE_GUARD) -> PathResult:
+def path_length(x: int, *, cycle_guard: int = DEFAULT_CYCLE_GUARD) -> PathResult:
     """Exact D(x) with odd/even step split and the peak bit length.
 
     Raises DomainError for x < 1 and CycleGuardExceeded if the running step
@@ -461,11 +447,11 @@ def _advanced(state: IterationState, budget: int, guard: int, halt: bool) -> Ite
 
 
 def trace(
-    x: Natural,
+    x: int,
     max_entries: int | None = None,
     *,
     cycle_guard: int = DEFAULT_CYCLE_GUARD,
-) -> list[Natural]:
+) -> list[int]:
     """The visited sequence from x, inclusive, down to the first 1.
 
     Truncates after max_entries elements when given.  trace(x) has length

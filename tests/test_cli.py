@@ -12,6 +12,7 @@ from conftest import naive_path_length
 
 import collatzpath
 from collatzpath import (
+    DEFAULT_CYCLE_GUARD,
     CatalogEntry,
     advance,
     checkpoint_read,
@@ -714,12 +715,13 @@ def test_a_checkpointed_guard_trip_names_the_start(tmp_path, capsys):
     assert run_cli(capsys, *argv, "--checkpoint", ckpt, "--checkpoint-interval", "5000") == plain
 
 
-def test_a_plain_run_over_several_budgets_prints_one_budget_bytes(tmp_path, capsys, monkeypatch):
+def test_a_plain_run_is_one_advance_to_the_guard(tmp_path, capsys, monkeypatch):
+    # Budgets size checkpoint writes only: a plain run ignores the default
+    # interval and takes the budget path_length takes, guard trip included.
     argv = ("pathlen", "M2203")
-    unsplit = run_cli(capsys, *argv)
     d, odd, even, peak = naive_path_length(2**2203 - 1)
-    assert unsplit == (0, f"expr,n,d,odd_steps,even_steps,peak_bit_length\n"
-                          f"M2203,2203,{d},{odd},{even},{peak}\n", "")
+    expected = (0, f"expr,n,d,odd_steps,even_steps,peak_bit_length\n"
+                   f"M2203,2203,{d},{odd},{even},{peak}\n", "")
     calls = []
 
     def spy(state, budget, **kwargs):
@@ -729,13 +731,19 @@ def test_a_plain_run_over_several_budgets_prints_one_budget_bytes(tmp_path, caps
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("collatzpath.cli.DEFAULT_CHECKPOINT_INTERVAL", 1000)
     monkeypatch.setattr("collatzpath.cli.advance", spy)
-    assert run_cli(capsys, *argv) == unsplit
-    assert len(calls) > 1 and set(calls) == {1000}
+    assert run_cli(capsys, *argv) == expected
+    assert calls == [DEFAULT_CYCLE_GUARD + 1]
+    calls.clear()
     assert run_cli(capsys, *argv, "--cycle-guard", "20000") == (
         3, "", "collatzpath: error: step count exceeded the cycle guard (20000) iterating "
         "from a 2203-bit start 0xffffffffffffffff...\n",
     )
+    assert calls == [20001]
     assert list(tmp_path.iterdir()) == []
+    calls.clear()
+    argv += ("--checkpoint", "F", "--checkpoint-interval", "1000")
+    assert run_cli(capsys, *argv) == expected
+    assert len(calls) == -(-d // 1000) and set(calls) == {1000}
 
 
 def test_checkpoint_interval_split_is_invisible(tmp_path, capsys):

@@ -15,7 +15,6 @@ from collatzpath import (
     IterationState,
     PathResult,
     advance,
-    collatz_next,
     initial_state,
     odd_step_accelerated,
     parse_expression,
@@ -106,20 +105,6 @@ wide_budgets = st.integers(0, 32 * BLOCK)
 
 @pytest.mark.parametrize(
     "x, expected",
-    [(1, 4), (2, 1), (3, 10), (4, 2), (5, 16), (6, 3), (7, 22), (10, 5), (27, 82)],
-)
-def test_collatz_next_examples(x, expected):
-    assert collatz_next(x) == expected
-
-
-@pytest.mark.parametrize("bad", [0, -1, "7", 2.0, None])
-def test_collatz_next_rejects_non_naturals(bad):
-    with pytest.raises(DomainError):
-        collatz_next(bad)
-
-
-@pytest.mark.parametrize(
-    "x, expected",
     [(1, (1, 3)), (3, (5, 2)), (5, (1, 5)), (7, (11, 2)), (27, (41, 2)), (31, (47, 2))],
 )
 def test_odd_step_examples(x, expected):
@@ -132,7 +117,7 @@ def test_odd_step_equals_repeated_single_rules():
         assert value & 1
         probe = x
         for _ in range(consumed):
-            probe = collatz_next(probe)
+            probe = naive_step(probe)
         assert probe == value
 
 
@@ -254,7 +239,7 @@ def test_trace_length_and_adjacency():
         assert entries[-1] == 1
         assert len(entries) == naive_path_length(x)[0] + 1
         for a, b in zip(entries, entries[1:]):
-            assert b == collatz_next(a)
+            assert b == naive_step(a)
 
 
 def test_trace_guard_trips():
@@ -323,6 +308,22 @@ def test_advance_concatenates(rng):
         a = rng.randrange(0, 120)
         b = rng.randrange(0, 120)
         assert advance(advance(initial_state(x), a), b) == advance(initial_state(x), a + b)
+
+
+@pytest.mark.parametrize("rank", [20, 22, 24, 26, 27, 28])
+def test_advance_to_halt_in_budgets_is_one_advance(rank):
+    # The state after B rule applications depends on B alone.  These values
+    # reach 136 kbit, wider than the two smaller budgets, so there the
+    # budget's end, not the value, bounds the walk's jumps.
+    origin = parse_expression(f"Mp{rank}")
+    start = initial_state(origin.resolve(), origin=origin)
+    whole = advance(start, 10**12)
+    assert whole.halted
+    for budget in (10**3, 10**5, 10**7):
+        state = start
+        while not state.halted:
+            state = advance(state, budget)
+        assert state == whole, budget
 
 
 def test_advance_never_overshoots_one():

@@ -19,7 +19,6 @@ from collatzpath import (
     advance,
     catalog_entries,
     catalog_entry,
-    collatz_next,
     fit_loglog,
     heuristic_path_length,
     index_set,
@@ -53,7 +52,6 @@ ENTRY_POINTS = {
     "trace": trace,
     "trace.max_entries": lambda v: trace(27, v),
     "initial_state": initial_state,
-    "collatz_next": collatz_next,
     "odd_step_accelerated": odd_step_accelerated,
     "IterationState": lambda v: IterationState(current=v),
     "mersenne_number": mersenne_number,
