@@ -3,9 +3,9 @@
 Each row carries the measured Collatz path length D(2**n - 1) and the
 rounded ratio D/n as published alongside the exponent list this package
 reproduces.  The default test tier recomputes ranks 1..31, in about two
-seconds together, and -m long adds ranks 32..35 (about 15 s).  Ranks
-36..47 take from a quarter of a minute to a quarter of an hour each and
-stand as unverified reference data.
+seconds together, -m long adds ranks 32..35 (about 15 s) and -m huge
+ranks 36..38.  Ranks 39..47 take from a minute and a half to a quarter
+of an hour each and stand as unverified reference data.
 
 The catalog's rules live here alone: catalog_entries(from_rank, to_rank)
 is the package's one check of a rank range, and primes_from its one walk

@@ -28,7 +28,7 @@ When that window is all one bits, it takes the run move; every start
 
 t odd steps and t halvings in one power (for 2**n - 1, the transit
 identity T**n(2**n - 1) = 3**n - 1 of Lagarias 1985).  t is the number of
-trailing one bits of x, cut to half the remaining budget and to widest.
+trailing one bits of x, cut to half the remaining budget.
 The run's values rise throughout and its last 3x+1 is twice the new x, so
 the peak is the larger of the peak so far and one more than the new x's
 bit length, with no estimate.
@@ -58,8 +58,8 @@ climb above the peak so far track it at all.  Across leaves the largest is
 carried as an integer with _FIX = 96 fractional bits, exact to within
 c * 2**-96.  The bit length is read from a float estimate that errs by
 less than 1e-12 in all; when that estimate lies within _NEAR_INTEGER =
-1e-7 of an integer, the jump is replayed with narrower moves, halving
-down to runs and fused steps, which settle the peak exactly.
+1e-7 of an integer, the jump's k + c < 2k rule applications are replayed
+by narrower moves, down to runs and fused steps, which settle it exactly.
 
 Values are plain Python ints throughout.  Termination of the iteration is
 an open conjecture, so every iterating function takes a cycle_guard step
@@ -312,30 +312,29 @@ def _walk(
     peak: int,
     budget: int,
     halt: bool,
-    widest: float = math.inf,
 ) -> tuple[int, int, int, int]:
     """The stepping kernel: budget rule applications from x, fewer if it halts.
 
     odd, even and peak carry the counters of the walk so far and come back
     updated with the new current value.  Each move is a run over a window
     of one bits, a jump over any other window, or a fused step.  With halt
-    set, the walk stops on reaching 1.  No run or jump takes more than
-    widest shortcut steps.  It raises nothing: _advanced bounds it by the
-    cycle guard through budget.
+    set, the walk stops on reaching 1.  A replay narrows by itself: its
+    budget k + c is below 2k, so every move in it is narrower than k.  It
+    raises nothing: _advanced bounds it by the cycle guard through budget.
     """
     remaining = budget
     while remaining and not (halt and x == 1):
         bits = x.bit_length()
         # k shortcut steps cost at most 2k rule applications and leave
         # a = x >> k at least 64 bits wide.
-        k = min(bits - 64, remaining, widest) >> 1 & -8
+        k = min(bits - 64, remaining) >> 1 & -8
         if k > 0:
             window = (1 << k) - 1
             low = x & window
             if low == window:
                 # A run move: every step is odd and climbs, so the run's last
                 # 3x+1, twice the new x, is its highest value.
-                t = min(_trailing_zeros(x + 1), remaining >> 1, widest)
+                t = min(_trailing_zeros(x + 1), remaining >> 1)
                 x = _climb(x, t)
                 peak = max(peak, x.bit_length() + 1)
                 odd += t
@@ -346,9 +345,9 @@ def _walk(
                 a = x >> k
                 top = peak if exc is None else _peak_after(peak, a, k, exc)
                 if top is None:
-                    # Replaying the jump's k + c rule applications with narrower
-                    # moves settles the peak exactly; runs and fused steps always do.
-                    x, odd, even, peak = _walk(x, odd, even, peak, k + c, halt, k - 1)
+                    # The window is not all one bits, so c < k: replaying the
+                    # jump's k + c rule applications takes narrower moves.
+                    x, odd, even, peak = _walk(x, odd, even, peak, k + c, halt)
                 else:
                     x = power * a + y
                     odd += c

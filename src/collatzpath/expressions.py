@@ -18,6 +18,7 @@ every integer option, and both halves of a rank range, through it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -110,8 +111,7 @@ class NumberExpression:
         return mersenne_number(catalog_entry(self.parameter).exponent)
 
 
-def _is_digit(c: str) -> bool:
-    return "0" <= c <= "9"
+_DECIMAL = re.compile("[0-9](?:_?[0-9])*")
 
 
 def _scan_decimal(text: str, start: int) -> tuple[int, int]:
@@ -119,25 +119,13 @@ def _scan_decimal(text: str, start: int) -> tuple[int, int]:
 
     Returns (value, end offset).
     """
-    i = start
-    n = len(text)
-    if i >= n or not _is_digit(text[i]):
-        raise ParseError(text, i, "a decimal digit")
-    digits = [text[i]]
-    i += 1
-    while i < n:
-        c = text[i]
-        if _is_digit(c):
-            digits.append(c)
-            i += 1
-        elif c == "_":
-            if i + 1 < n and _is_digit(text[i + 1]):
-                i += 1
-            else:
-                raise ParseError(text, i + 1, "a decimal digit after '_'")
-        else:
-            break
-    return _decimal_value("".join(digits)), i
+    match = _DECIMAL.match(text, start)
+    if match is None:
+        raise ParseError(text, start, "a decimal digit")
+    end = match.end()
+    if text[end : end + 1] == "_":
+        raise ParseError(text, end + 1, "a decimal digit after '_'")
+    return _decimal_value(match[0].replace("_", "")), end
 
 
 def parse_decimal(text: str) -> int:
@@ -179,7 +167,7 @@ def parse_expression(text: str) -> NumberExpression:
         else:
             kind = ExpressionKind.POWER_OF_TWO
             tail_expected = "'-1' or end of input"
-    elif _is_digit(text[0]):
+    elif "0" <= text[0] <= "9":
         value, end = _scan_decimal(text, 0)
         kind = ExpressionKind.DECIMAL
     else:

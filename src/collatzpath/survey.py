@@ -19,9 +19,9 @@ walk to their primes with primes_from.
 Sets C and D were hand-selected, so they ship as verbatim fixtures, the
 n column of _REFERENCE_D; tests/test_survey.py holds their rank lists and
 rebuilds both rows from them.  The test suite also recomputes the rows of
-sets A to D with n below 150,000 in the default tier and those up to
-1,500,000 under -m long; the 14 rows above that stand as unverified
-reference data, as do catalog ranks 36 and up in the mersenne row.
+sets A to D with n below 150,000 in the default tier, those up to
+1,500,000 under -m long, and the 14 rows above that, with catalog ranks
+36..38 of the mersenne row, under -m huge.
 """
 
 from __future__ import annotations
@@ -139,8 +139,8 @@ def ratio_stats(pairs: list[tuple[int, int]]) -> RatioStats:
 # (round(2**(intercept + slope * k))); tests/test_survey.py holds both
 # rank lists and rebuilds the two rows from them.  The test suite
 # recomputes every row with n up to 1,500,000 (those from 150,000 up
-# under -m long); the 14 rows above that are unverified reference data on
-# the same footing as catalog ranks 36 and up.
+# under -m long), and the 14 rows above that under -m huge, with catalog
+# ranks 36..38.
 _REFERENCE_D = {
     SetLabel.A: (
         (23227, 312182), (44501, 598071), (86249, 1158882), (110527, 1482553),

@@ -14,6 +14,7 @@ import pytest
 from conftest import naive_path_length, naive_step
 
 from collatzpath import (
+    DEFAULT_CYCLE_GUARD,
     MERSENNE_SLOPE,
     advance,
     catalog_entry,
@@ -27,11 +28,13 @@ from collatzpath import (
     path_length,
     ratio_stats,
     raw_advance,
+    reference_d,
     serialize_checkpoint,
     trace,
     verify_transit_lemma,
 )
 from collatzpath.cli import build_parser, parse_rank_range
+from collatzpath.survey import mersenne_path_lengths
 
 
 @pytest.fixture
@@ -68,6 +71,17 @@ MEDIUM_TIER = (
 LARGE_TIER = (
     (32, 756839, 10197081), (33, 859433, 11568589),
     (34, 1257787, 16927967), (35, 1398269, 18807193),
+)
+
+# (n, D): catalog ranks 36..38, then the comparison rows of sets A, B, C
+# and D above n = 1,500,000.
+HUGE_TIER = (
+    (2976221, 40055567), (3021377, 40663017), (6972593, 93778449),
+    (2976229, 40055575), (3021407, 40663047), (6972607, 93778463),
+    (2187245, 29428265), (2998799, 40364153), (4996985, 67195624),
+    (1513678, 20384499), (1718866, 23124964), (2515574, 33827530),
+    (2796538, 37632788), (5952442, 80085173),
+    (2075452, 27939124), (3053739, 41095221), (4493150, 60441877),
 )
 
 SEVEN_TRACE = [7, 22, 11, 34, 17, 52, 26, 13, 40, 20, 10, 5, 16, 8, 4, 2, 1]
@@ -154,6 +168,24 @@ def test_criterion_03_large_tier_recomputed_exactly(criterion):
         return "ranks 32..35"
 
     criterion(3, "large-tier path lengths recomputed exactly", check)
+
+
+@pytest.mark.huge
+def test_criterion_03_huge_tier_recomputed_exactly(criterion):
+    def check():
+        entries = [catalog_entry(rank) for rank in (36, 37, 38)]
+        shipped = [(entry.exponent, entry.reference_d) for entry in entries]
+        for label in "ABCD":
+            shipped += [(n, d) for n, d in reference_d(index_set(label)) if n > 1_500_000]
+        assert shipped == list(HUGE_TIER)
+        # Widest first, so that the two forked shares take about equal time.
+        rows = sorted(HUGE_TIER, reverse=True)
+        computed = mersenne_path_lengths([n for n, _ in rows], 2, DEFAULT_CYCLE_GUARD)
+        for (n, expected_d), d in zip(rows, computed):
+            assert d == expected_d, n
+        return "ranks 36..38 and the 14 comparison rows above n = 1.5M"
+
+    criterion(3, "huge-tier path lengths recomputed exactly", check)
 
 
 def test_criterion_04_identity_suite(criterion):

@@ -536,17 +536,21 @@ def test_fixed_point_log2_3_is_the_floor():
 
 
 @pytest.mark.parametrize("above", [False, True])
-def test_jump_peak_on_a_power_of_two_boundary(above):
-    # The first move is one recursive jump of k steps over low one bits,
-    # and its last 3x+1 is 2 * (3**k * (a + 1) - 1).  With 3**k * (a + 1) just
-    # above or just below 2**top, the estimate of that bit length lies
-    # within rounding of an integer, so the kernel must replay the jump
-    # with narrower jumps, halving down to fused steps.
+def test_run_peak_on_a_power_of_two_boundary(above):
+    # The first 2k rule applications are one run move of k steps over the low
+    # one bits, and its last 3x+1 is 2 * (3**k * (a + 1) - 1).  With
+    # 3**k * (a + 1) just above or just below 2**top, a float estimate of
+    # that bit length would lie within rounding of an integer; the run reads
+    # it exactly from the new value's bit length.
     k = 4 * BLOCK
     top = 3 * k + 200
     a = -(-(1 << top) // 3**k) - 1 if above else (1 << top) // 3**k - 1
     x = (a << k) | ((1 << k) - 1)
-    assert state_fields(advance(initial_state(x), 2 * k)) == naive_partial(x, 2 * k)
+    with spying("_climb") as climb, spying("_jump") as jump:
+        got = advance(initial_state(x), 2 * k)
+    assert [call.args[1] for call in climb.call_args_list] == [k]
+    assert not jump.called
+    assert state_fields(got) == naive_partial(x, 2 * k)
     assert result_fields(path_length(x)) == naive_path_length(x)
 
 
@@ -606,7 +610,7 @@ def run_starts(widths: list[int]):
 
 
 run_sized_starts = run_starts([8, 16, 64, BLOCK, 2 * BLOCK])
-# Odd and even budgets from below one window to a few times the widest run.
+# Odd and even budgets from below one window to a few times the longest run.
 run_budgets = st.one_of(st.integers(0, 48), st.integers(0, 8 * BLOCK))
 
 
@@ -674,18 +678,6 @@ def test_cycle_guard_trips_inside_a_run():
             assert (excinfo.value.start, excinfo.value.limit) == (x, guard)
 
 
-@pytest.mark.parametrize("widest", [16, 100, BLOCK])
-def test_runs_respect_a_finite_widest(widest):
-    t = 3 * BLOCK
-    x = run_start(t, (1 << 300) + 12345)
-    d, odd, even, peak = naive_path_length(x)
-    with spying("_climb") as climb:
-        got = engine_module._walk(x, 0, 0, x.bit_length(), d + 1, True, widest)
-    assert got == (1, odd, even, peak)
-    runs = [call.args[1] for call in climb.call_args_list]
-    assert runs and max(runs) <= widest
-
-
 def ones_then_halvings(ones: int, near: int) -> int:
     # The start (a << ones) | (2**ones - 1), with a + 1 near `near` and
     # 3**ones * (a + 1) = 1 mod 256: its climb ends on a multiple of 256, so
@@ -710,9 +702,13 @@ def test_jump_past_the_ones_replays_a_near_tie(ones, above):
     else:
         x = ones_then_halvings(ones, (1 << top) // 3**ones)
     assert (3**ones * ((x >> ones) + 1) > 1 << top) == above
-    with spying("_walk") as walk:
+    with spying("_walk") as walk, spying("_jump") as jump:
         got = advance(initial_state(x), 2 * k)
     assert walk.call_count >= 2
+    # The replay narrows by its budget alone: every later jump, recursive
+    # halves included, is narrower than the first.
+    first, *later = [call.args[1] for call in jump.call_args_list]
+    assert first == k and all(width < k for width in later)
     assert state_fields(got) == naive_partial(x, 2 * k)
     assert result_fields(path_length(x)) == naive_path_length(x)
 

@@ -60,6 +60,8 @@ INVALID = [
     ("2^-1", 2, "a decimal digit"),
     ("1__0", 2, "a decimal digit after '_'"),
     ("10_", 3, "a decimal digit after '_'"),
+    ("2^1_-1", 4, "a decimal digit after '_'"),
+    ("M1_", 3, "a decimal digit after '_'"),
     ("2^20-2", 4, "'-1' or end of input"),
     ("2^20-", 4, "'-1' or end of input"),
     ("2^20+1", 4, "'-1' or end of input"),

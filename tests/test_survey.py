@@ -247,7 +247,8 @@ def test_reference_d_is_none_when_an_index_is_missing():
 
 # Rows below 150,000 recompute in about a second together; those up to
 # 1,500,000 take about half a minute, so they run under -m long.  The
-# 14 rows above that stand as reference data.
+# 14 rows above that are recomputed under -m huge, in
+# tests/test_acceptance.py.
 @pytest.mark.parametrize(
     "low, high",
     [(1, 149_999), pytest.param(150_000, 1_500_000, marks=pytest.mark.long)],
