@@ -17,7 +17,7 @@ stands for k + c rule applications (c odd, k even).
 
 The kernel has three moves.  While x has 80 bits or more and the budget
 affords 16 rule applications, it reads a window of its k low bits, k
-about half the bit length (and at most half the budget) rounded down to a
+about half the bit length (and at most the budget) rounded down to a
 multiple of 8.
 
 When that window is all one bits, it takes the run move; every start
@@ -28,7 +28,9 @@ When that window is all one bits, it takes the run move; every start
 
 t odd steps and t halvings in one power (for 2**n - 1, the transit
 identity T**n(2**n - 1) = 3**n - 1 of Lagarias 1985).  t is the number of
-trailing one bits of x, cut to half the remaining budget.
+trailing one bits of x, cut to half the remaining budget; when 2k rule
+applications overrun the budget, the window tested for the run is that
+half.
 The run's values rise throughout and its last 3x+1 is twice the new x, so
 the peak is the larger of the peak so far and one more than the new x's
 bit length, with no estimate.
@@ -42,12 +44,22 @@ at most _BLOCK = 512 steps, eight steps per lookup in a 256-entry table,
 so the cost is a few balanced multiplies per level instead of one
 multiply of the whole value per 512 steps.
 
+When the budget binds, the jump stops where the budget does.  Any prefix
+of a decided jump is exact, since the parities of its first j steps
+depend only on x mod 2**j; the recursion decides its steps in order, so
+it returns the longest prefix whose j + c rule applications fit: a leaf
+takes rounds of lookups that must fit, then single steps, a first half
+that stopped short is the whole prefix, and a second half is no wider
+than the steps left to it.  A budget far below the value's width is then
+one jump and a fused step or so, not a chain of ever narrower jumps, each
+a multiply of the whole value.
+
 Near 1, or at the end of a budget, it takes the fused step: for odd x it
 computes y = 3x+1 and divides out all trailing zero bits of y at once.
 
-Every count stays exact.  A run or a jump takes at most half the
-remaining budget in steps, so it never overshoots, and a fused step is
-split after its 3x+1 half when only one rule application is left.
+Every count stays exact.  A run takes at most half the remaining budget
+in steps and a jump's steps fit it, so neither overshoots, and a fused
+step is split after its 3x+1 half when only one rule application is left.
 
 A jump's peak bit length comes from the excursion c*log2(3) - j of each
 odd step j, c counting the odd steps up to and including it: that step's
@@ -58,8 +70,10 @@ climb above the peak so far track it at all.  Across leaves the largest is
 carried as an integer with _FIX = 96 fractional bits, exact to within
 c * 2**-96.  The bit length is read from a float estimate that errs by
 less than 1e-12 in all; when that estimate lies within _NEAR_INTEGER =
-1e-7 of an integer, the jump's k + c < 2k rule applications are replayed
-by narrower moves, down to runs and fused steps, which settle it exactly.
+1e-7 of an integer, the jump's k + c rule applications are replayed as
+two walks of half as many each; one walk of all of them would take the
+same jump again.  Their moves narrow with their budgets, down to runs and
+fused steps, which settle it exactly.
 
 Values are plain Python ints throughout.  Termination of the iteration is
 an open conjecture, so every iterating function takes a cycle_guard step
@@ -223,30 +237,54 @@ def _climb(x: int, t: int) -> int:
     return 3**t * ((x >> t) + 1) - 1
 
 
-def _leaf(y: int, lookups: int, track: bool) -> tuple[int, int, int | None]:
-    """8 * lookups shortcut steps of y by table: (c, T**(8 * lookups)(y), excursion).
+def _leaf(low: int, k: int, track: bool, cap: int) -> tuple[int, int, int | None, int]:
+    """Up to k shortcut steps of low < 2**k by table: (c, T**j(low mod 2**j), excursion, j).
 
-    c counts the odd steps.  When track is set, the excursion is the largest
-    c*log2(3) - j over the odd steps j, c counting the odd steps up to and
-    including step j, in _FIX fixed point; it is None when untracked or
-    when no step is odd.  A leaf has at most _BLOCK steps,
-    where two excursions differ by at least 1.4e-3 (the closest approach of
-    c*log2(3) to an integer for c <= 512), so the float comparison below
-    picks the largest exactly.
+    k is a multiple of 8 and c counts the odd steps.  j is k when the k
+    steps take at most cap rule applications, else the longest prefix
+    whose j + c do.  The lookups go in rounds that must fit: a lookup takes
+    at most 16 rule applications, so a round of n steps takes at most 2n,
+    and a leaf whose k steps fit the cap is one round.  Single steps
+    follow while they fit.
+    When track is set, the excursion is the largest c*log2(3) - i over the
+    odd steps i, c counting the odd steps up to and including step i, in
+    _FIX fixed point; it is None when untracked or when no step is odd.  A
+    leaf has at most _BLOCK steps, where two excursions differ by at least
+    1.4e-3 (the closest approach of c*log2(3) to an integer for c <= 512),
+    so the float comparison below picks the largest exactly.
     """
-    c = 0
+    y = low
+    c = j = 0
     best = -math.inf
-    for j in range(0, lookups << 3, 8):
-        r = y & 255
-        y = _T8_MUL[r] * (y >> 8) + _T8_TAIL[r]
-        if track:
-            e = c * _LOG2_3 - j + _T8_EXC[r]
-            if e > best:
-                best, at_odd, at_step = e, c + _T8_AT_ODD[r], j + _T8_AT_STEP[r]
-        c += _T8_ODD[r]
+    # Every leaf of a plain run is one round; the bound of a next round is
+    # worked out only while steps are left, so those leaves skip it.
+    n = k if 2 * k <= cap else cap >> 1 & -8
+    while n:
+        for i in range(j, j + n, 8):
+            r = y & 255
+            y = _T8_MUL[r] * (y >> 8) + _T8_TAIL[r]
+            if track:
+                e = c * _LOG2_3 - i + _T8_EXC[r]
+                if e > best:
+                    best, at_odd, at_step = e, c + _T8_AT_ODD[r], i + _T8_AT_STEP[r]
+            c += _T8_ODD[r]
+        j += n
+        n = j < k and min(k - j, cap - j - c >> 1) & -8
+    if j < k:
+        while j < k and j + 1 + c + (y & 1) <= cap:
+            if y & 1:
+                y = (3 * y + 1) >> 1
+                c += 1
+                if track and c * _LOG2_3 - j > best:
+                    best, at_odd, at_step = c * _LOG2_3 - j, c, j
+            else:
+                y >>= 1
+            j += 1
+        # y is T**j(low) = 3**c * (low >> j) + T**j(low mod 2**j).
+        y -= _pow3(c) * (low >> j)
     if best == -math.inf:
-        return c, y, None
-    return c, y, at_odd * _LOG2_3_FIX - (at_step << _FIX)
+        return c, y, None, j
+    return c, y, at_odd * _LOG2_3_FIX - (at_step << _FIX), j
 
 
 def _later(first: int | None, second: int | None, c: int, k: int) -> int | None:
@@ -258,24 +296,43 @@ def _later(first: int | None, second: int | None, c: int, k: int) -> int | None:
     return second if first is None or second > first else first
 
 
-def _jump(low: int, k: int, room: float) -> tuple[int, int, int, int | None]:
-    """k shortcut steps of low < 2**k, k a multiple of 8: (c, 3**c, T**k(low), excursion).
+def _jump(low: int, k: int, room: float, cap: int) -> tuple[int, int, int, int | None, int]:
+    """Up to k shortcut steps of low < 2**k: (c, 3**c, T**j(low mod 2**j), excursion, j).
 
-    Decides the first half of the steps recursively, applies them to the
-    rest of low with one multiply, and decides the second half from the
-    low bits of that.  room is how far the peak lies above the bit length
-    the jump starts from; a leaf tracks its excursion only if it could
-    climb that far.
+    k is a multiple of 8.  j is k, or the longest prefix of the k steps
+    whose j + c rule applications fit cap; a plain jump, with cap >= 2k,
+    takes all k.  Decides the first half of the steps recursively, applies
+    them to the rest of low with one multiply, and decides the second half
+    from the low bits of that.  A first half that stopped short is the
+    whole prefix, and a second half is no wider than the steps its cap
+    affords.  room is how far the peak lies above the bit length the jump
+    starts from; a leaf tracks its excursion only if it could climb that
+    far.
     """
     if k <= _BLOCK:
-        c, y, exc = _leaf(low, k >> 3, _CLIMB * k + 3 > room)
-        return c, _pow3(c), y, exc
+        c, y, exc, j = _leaf(low, k, _CLIMB * k + 3 > room, cap)
+        return c, _pow3(c), y, exc, j
     half = k >> 4 << 3
-    c1, p1, y1, e1 = _jump(low & ((1 << half) - 1), half, room)
+    c1, p1, y1, e1, j1 = _jump(low & ((1 << half) - 1), half, room, cap)
+    if j1 < half:
+        return c1, p1, y1, e1, j1
+    cap -= half + c1
     rest = k - half
-    mid = p1 * (low >> half) + y1
-    c2, p2, y2, e2 = _jump(mid & ((1 << rest) - 1), rest, room - (c1 * _LOG2_3 - half))
-    return c1 + c2, p1 * p2, p2 * (mid >> rest) + y2, _later(e1, e2, c1, half)
+    high = low >> half
+    if cap < rest:
+        # Each step costs a rule application, so the second half takes at
+        # most cap steps, and only that many bits of high count.
+        rest = cap + 7 & -8
+        high &= (1 << rest) - 1
+    mid = p1 * high + y1
+    c2, p2, y2, e2, j2 = _jump(mid & ((1 << rest) - 1), rest, room - (c1 * _LOG2_3 - half), cap)
+    power = p1 * p2
+    y = p2 * (mid >> j2) + y2
+    if j2 < rest:
+        # mid carried the first half over all of high; the prefix reads
+        # only its low j2 bits.
+        y -= power * (high >> j2)
+    return c1 + c2, power, y, _later(e1, e2, c1, half), half + j2
 
 
 def _peak_after(peak: int, a: int, k: int, exc: int) -> int | None:
@@ -318,20 +375,24 @@ def _walk(
     odd, even and peak carry the counters of the walk so far and come back
     updated with the new current value.  Each move is a run over a window
     of one bits, a jump over any other window, or a fused step.  With halt
-    set, the walk stops on reaching 1.  A replay narrows by itself: its
-    budget k + c is below 2k, so every move in it is narrower than k.  It
-    raises nothing: _advanced bounds it by the cycle guard through budget.
+    set, the walk stops on reaching 1.  A near-tie replay is two walks of
+    half the jump's k + c rule applications each, so its moves narrow with
+    its budget.  It raises nothing: _advanced bounds it by the cycle guard
+    through budget.
     """
     remaining = budget
     while remaining and not (halt and x == 1):
         bits = x.bit_length()
-        # k shortcut steps cost at most 2k rule applications and leave
-        # a = x >> k at least 64 bits wide.
-        k = min(bits - 64, remaining) >> 1 & -8
-        if k > 0:
-            window = (1 << k) - 1
-            low = x & window
-            if low == window:
+        # A jump of k shortcut steps leaves a = x >> k at least 64 bits
+        # wide; its k + c rule applications fit the budget or it stops
+        # where the budget does.  A run takes at most half the budget.
+        k = min(bits - 64 >> 1, remaining) & -8
+        w = min(k, remaining >> 1)
+        if w >= 8:
+            mask = (1 << k) - 1
+            low = x & mask
+            window = mask >> k - w
+            if low & window == window:
                 # A run move: every step is odd and climbs, so the run's last
                 # 3x+1, twice the new x, is its highest value.
                 t = min(_trailing_zeros(x + 1), remaining >> 1)
@@ -341,13 +402,16 @@ def _walk(
                 even += t
                 remaining -= 2 * t
             else:
-                c, power, y, exc = _jump(low, k, peak - bits)
+                c, power, y, exc, k = _jump(low, k, peak - bits, remaining)
                 a = x >> k
                 top = peak if exc is None else _peak_after(peak, a, k, exc)
                 if top is None:
-                    # The window is not all one bits, so c < k: replaying the
-                    # jump's k + c rule applications takes narrower moves.
-                    x, odd, even, peak = _walk(x, odd, even, peak, k + c, halt)
+                    # Replaying the jump's k + c rule applications in one
+                    # walk would take the same jump again; each of two walks
+                    # of half as many caps its moves at its own budget.
+                    half = k + c >> 1
+                    x, odd, even, peak = _walk(x, odd, even, peak, half, halt)
+                    x, odd, even, peak = _walk(x, odd, even, peak, k + c - half, halt)
                 else:
                     x = power * a + y
                     odd += c

@@ -1,6 +1,9 @@
 """Checkpoint format: byte-identical round trips and loud failure modes."""
 
 import binascii
+import os
+import stat
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +13,7 @@ from collatzpath import (
     ChecksumMismatch,
     DomainError,
     ExpressionKind,
+    IterationState,
     MalformedField,
     NumberExpression,
     VersionUnsupported,
@@ -21,6 +25,9 @@ from collatzpath import (
     parse_expression,
     serialize_checkpoint,
 )
+from collatzpath.checkpoint import _payload
+
+GOLDEN = Path(__file__).parent / "data" / "m89_after_1000.ckpt"
 
 
 def make_state(expr_text="M89", steps=1000):
@@ -70,6 +77,43 @@ def test_failed_write_cleans_up_its_temp_file(tmp_path):
         checkpoint_write(target, make_state())
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def test_a_stale_temp_sibling_is_left_alone(tmp_path):
+    # A temporary file an earlier, killed write left behind does not stop
+    # the next write, which creates its own with mode 0600.
+    stale = tmp_path / "run.ckpt.stale.tmp"
+    stale.write_bytes(b"partial")
+    path = tmp_path / "run.ckpt"
+    state = make_state()
+    checkpoint_write(path, state)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt", "run.ckpt.stale.tmp"]
+    assert stale.read_bytes() == b"partial"
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+    assert checkpoint_read(path).to_state() == state
+
+
+def test_the_file_for_m89_after_1000_steps_is_frozen(tmp_path):
+    path = tmp_path / "run.ckpt"
+    checkpoint_write(path, make_state())
+    assert path.read_bytes() == GOLDEN.read_bytes()
+    assert checkpoint_read(GOLDEN).to_state() == make_state()
+
+
+def current_line(x: int) -> bytes:
+    state = IterationState(current=x, peak_bit_length=x.bit_length(), origin=parse_expression("M89"))
+    return _payload(state).split(b"\n")[6]
+
+
+@pytest.mark.parametrize("x", [1, 15, 16, 255, 256, 2**4096 - 1, 2**4096, 2**4096 + 1])
+def test_current_is_written_as_plain_lowercase_hex(x):
+    assert current_line(x) == b"current=" + format(x, "x").encode("ascii")
+
+
+@given(st.integers(1, 4096), st.sampled_from([-1, 0, 1]))
+def test_current_around_a_power_of_two_is_plain_lowercase_hex(k, offset):
+    x = 2**k + offset
+    assert current_line(x) == b"current=" + format(x, "x").encode("ascii")
 
 
 def test_origin_spelling_is_preserved_verbatim(tmp_path):

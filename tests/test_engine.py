@@ -55,9 +55,10 @@ def result_fields(result: PathResult) -> tuple[int, int, int, int]:
 
 BLOCK = engine_module._BLOCK
 
-# The kernel jumps k = min(bits - 64, budget) // 2 shortcut steps, rounded
-# down to a multiple of 8, whenever k is positive (or runs, when those k
-# low bits are all ones), and takes fused steps otherwise: starts of
+# The kernel jumps k = min((bits - 64) // 2, budget) shortcut steps, rounded
+# down to a multiple of 8 and stopped where the budget is spent, whenever
+# the window of min(k, budget // 2) low bits is 8 or more wide (or runs,
+# when that window is all ones), and takes fused steps otherwise: starts of
 # JUMP_MIN_BITS or more, with budgets of 16 or more, jump.  A jump of more
 # than BLOCK steps recurses, from RECURSIVE_MIN_BITS.
 JUMP_MIN_BITS = 64 + 16
@@ -688,29 +689,134 @@ def ones_then_halvings(ones: int, near: int) -> int:
     return ((a1 - 1) << ones) | ((1 << ones) - 1)
 
 
-@pytest.mark.parametrize("ones", [BLOCK - 8, 4 * BLOCK])
-@pytest.mark.parametrize("above", [False, True])
-def test_jump_past_the_ones_replays_a_near_tie(ones, above):
-    # A jump of k = ones + 8 steps, one leaf or recursive, climbs to
-    # 2 * (3**ones * (a + 1) - 1) and then halves.  With 3**ones * (a + 1)
-    # just above or just below 2**top, the estimate of that bit length lies
-    # within rounding of an integer, so the kernel must replay the jump.
-    k = ones + 8
-    top = 3 * ones + 200
+def near_tie_start(ones: int, top: int, above: bool) -> int:
+    # A start whose jump past the ones climbs to 2 * (3**ones * (a + 1) - 1)
+    # and then halves, with 3**ones * (a + 1) just above or just below
+    # 2**top: the estimate of that bit length lies within rounding of an
+    # integer, so the kernel must replay the jump.
     if above:
         x = ones_then_halvings(ones, -(-(1 << top) // 3**ones) + 255)
     else:
         x = ones_then_halvings(ones, (1 << top) // 3**ones)
     assert (3**ones * ((x >> ones) + 1) > 1 << top) == above
+    return x
+
+
+def assert_capped_near_tie_replays(x: int, budget: int) -> None:
+    # The budget binds, so the first jump is as wide as the value and the
+    # budget allow and is capped at the budget.  Its near tie is replayed
+    # as two walks of half its rule applications each, so every later
+    # jump, recursive halves included, is narrower than the first.
     with spying("_walk") as walk, spying("_jump") as jump:
-        got = advance(initial_state(x), 2 * k)
-    assert walk.call_count >= 2
-    # The replay narrows by its budget alone: every later jump, recursive
-    # halves included, is narrower than the first.
-    first, *later = [call.args[1] for call in jump.call_args_list]
-    assert first == k and all(width < k for width in later)
-    assert state_fields(got) == naive_partial(x, 2 * k)
+        got = advance(initial_state(x), budget)
+    first, *later = jump.call_args_list
+    width = min(x.bit_length() - 64 >> 1, budget) & -8
+    assert first.args[1] == width and first.args[3] == budget < 2 * width
+    assert walk.call_count >= 3
+    assert all(call.args[1] < width for call in later)
+    assert state_fields(got) == naive_partial(x, budget)
+
+
+@pytest.mark.parametrize("ones", [BLOCK - 8, 4 * BLOCK])
+@pytest.mark.parametrize("above", [False, True])
+def test_jump_past_the_ones_replays_a_near_tie(ones, above):
+    # A budget of 2 * (ones + 8) affords the climb and its eight halvings;
+    # the capped jump takes them, and a few steps more, in one prefix.
+    x = near_tie_start(ones, 3 * ones + 200, above)
+    assert min(x.bit_length() - 64 >> 1, 2 * ones + 16) & -8 >= ones + 8
+    assert_capped_near_tie_replays(x, 2 * (ones + 8))
     assert result_fields(path_length(x)) == naive_path_length(x)
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_a_near_tie_inside_a_capped_jump_replays_in_halves(above):
+    # The same climb on a start about 41 kbit wide: the jump is as wide as
+    # the budget, and the budget, not the window, ends it.
+    ones = 2 * BLOCK
+    x = near_tie_start(ones, 2 * ones + 40_000, above)
+    assert x.bit_length() > 40_000
+    assert_capped_near_tie_replays(x, 2 * (ones + 8))
+
+
+def test_a_budget_over_a_wide_value_is_one_capped_jump(rng):
+    # A budget far below the value's width is one jump that stops where the
+    # budget does, not a chain of halving jumps: at most two rule
+    # applications are left over for fused steps.
+    budget = 2000
+    top_level = []
+    depth = 0
+    real_jump = engine_module._jump
+
+    def jump(low, k, room, cap):
+        nonlocal depth
+        depth += 1
+        try:
+            result = real_jump(low, k, room, cap)
+        finally:
+            depth -= 1
+        if not depth:
+            c, _, _, _, j = result
+            top_level.append((k, cap, j + c))
+        return result
+
+    for bits in (40_000, 41_000, 80_000):
+        x = rng.getrandbits(bits) | 1 << bits
+        assert x & (1 << budget // 2) - 1 != (1 << budget // 2) - 1
+        top_level.clear()
+        with mock.patch.object(engine_module, "_jump", jump), spying("_climb") as climb:
+            got = advance(initial_state(x), budget)
+        assert not climb.called
+        [(width, cap, taken)] = top_level
+        assert (width, cap) == (budget, budget)
+        assert budget - 2 <= taken <= budget
+        assert state_fields(got) == naive_partial(x, budget)
+
+
+def test_a_second_half_that_stops_short_ends_its_jump(rng):
+    # A start whose capped jump leaves its second half, wider than BLOCK,
+    # a cap just short of that width, with low bits of all ones for the
+    # second half's own first half: that one stops short, so the second
+    # half returns its prefix without deciding the rest.
+    def shortcut(b: int, steps: int) -> tuple[int, int]:
+        c = 0
+        for _ in range(steps):
+            if b & 1:
+                b, c = (3 * b + 1) >> 1, c + 1
+            else:
+                b >>= 1
+        return c, b
+
+    bits = 40_000
+    pool = rng.getrandbits(bits)
+    for budget in range(4 * BLOCK + 256, 6 * BLOCK):
+        half = (budget & -8) >> 4 << 3
+        b = pool & (1 << half) - 1
+        c1, y1 = shortcut(b, half)
+        cap = budget - half - c1
+        rest = cap + 7 & -8
+        if rest > BLOCK and rest % 16 == 0 and cap % 8:
+            break
+    else:
+        raise AssertionError("no budget in the range leaves such a cap")
+    # The second half's first rest / 2 steps are all odd: 3**c1 * high + y1
+    # has its low rest / 2 bits all ones.
+    ones = rest >> 1
+    high = (-1 - y1) * pow(3**c1, -1, 1 << ones) % (1 << ones)
+    x = ((pool >> half + ones | 1 << bits) << ones | high) << half | b
+
+    short = []
+    real_jump = engine_module._jump
+
+    def jump(low, k, room, cap):
+        result = real_jump(low, k, room, cap)
+        if k > BLOCK and result[4] < k >> 4 << 3:
+            short.append(k)
+        return result
+
+    with mock.patch.object(engine_module, "_jump", jump):
+        got = advance(initial_state(x), budget)
+    assert short == [rest]
+    assert state_fields(got) == naive_partial(x, budget)
 
 
 @pytest.mark.parametrize("ones", [BLOCK - 8, 4 * BLOCK])
