@@ -10,126 +10,85 @@ Quick taste::
     29821
     >>> round(cp.mersenne_heuristic(2203))
     29647
+
+Each exported name is loaded from its home module (_HOME) when it is
+first used, so importing the package, or one command of the CLI, loads
+only the modules that run.
 """
 
-from .catalog import (
-    CATALOG_SIZE,
-    RANK_45_EXPONENT_MISPRINT,
-    CatalogEntry,
-    catalog_entries,
-    catalog_entry,
-    is_prime,
-    lucas_lehmer,
-    mersenne_number,
-    next_prime,
-    primes_from,
-)
-from .checkpoint import (
-    Checkpoint,
-    checkpoint_from_state,
-    checkpoint_read,
-    checkpoint_write,
-    serialize_checkpoint,
-)
-from .engine import (
-    DEFAULT_CYCLE_GUARD,
-    IterationState,
-    PathResult,
-    advance,
-    initial_state,
-    odd_step_accelerated,
-    path_length,
-    raw_advance,
-    trace,
-)
-from .errors import (
-    ChecksumMismatch,
-    CollatzPathError,
-    CycleGuardExceeded,
-    DegenerateFitError,
-    DegenerateStatsError,
-    DomainError,
-    MalformedField,
-    OriginMismatch,
-    ParseError,
-    RangeError,
-    VersionUnsupported,
-)
-from .expressions import ExpressionKind, NumberExpression, parse_expression
-from .heuristics import (
-    C0,
-    MERSENNE_SLOPE,
-    FitResult,
-    fit_loglog,
-    heuristic_path_length,
-    mersenne_heuristic,
-    verify_transit_lemma,
-)
-from .survey import (
-    IndexSet,
-    RatioStats,
-    ScanRecord,
-    SetLabel,
-    index_set,
-    ratio_stats,
-    reference_d,
-    scan_ratios,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "C0",
-    "CATALOG_SIZE",
-    "DEFAULT_CYCLE_GUARD",
-    "MERSENNE_SLOPE",
-    "RANK_45_EXPONENT_MISPRINT",
-    "CatalogEntry",
-    "Checkpoint",
-    "ChecksumMismatch",
-    "CollatzPathError",
-    "CycleGuardExceeded",
-    "DegenerateFitError",
-    "DegenerateStatsError",
-    "DomainError",
-    "ExpressionKind",
-    "FitResult",
-    "IndexSet",
-    "IterationState",
-    "MalformedField",
-    "NumberExpression",
-    "OriginMismatch",
-    "ParseError",
-    "PathResult",
-    "RangeError",
-    "RatioStats",
-    "ScanRecord",
-    "SetLabel",
-    "VersionUnsupported",
-    "advance",
-    "catalog_entries",
-    "catalog_entry",
-    "checkpoint_from_state",
-    "checkpoint_read",
-    "checkpoint_write",
-    "fit_loglog",
-    "heuristic_path_length",
-    "index_set",
-    "initial_state",
-    "is_prime",
-    "lucas_lehmer",
-    "mersenne_heuristic",
-    "mersenne_number",
-    "next_prime",
-    "odd_step_accelerated",
-    "parse_expression",
-    "path_length",
-    "primes_from",
-    "ratio_stats",
-    "raw_advance",
-    "reference_d",
-    "scan_ratios",
-    "serialize_checkpoint",
-    "trace",
-    "verify_transit_lemma",
-]
+# Every exported name and the module it lives in; __all__ is its keys.
+_HOME = {
+    "C0": "heuristics",
+    "CATALOG_SIZE": "catalog",
+    "DEFAULT_CYCLE_GUARD": "engine",
+    "MERSENNE_SLOPE": "heuristics",
+    "RANK_45_EXPONENT_MISPRINT": "catalog",
+    "CatalogEntry": "catalog",
+    "Checkpoint": "checkpoint",
+    "ChecksumMismatch": "errors",
+    "CollatzPathError": "errors",
+    "CycleGuardExceeded": "errors",
+    "DegenerateFitError": "errors",
+    "DegenerateStatsError": "errors",
+    "DomainError": "errors",
+    "ExpressionKind": "expressions",
+    "FitResult": "heuristics",
+    "IndexSet": "survey",
+    "IterationState": "engine",
+    "MalformedField": "errors",
+    "NumberExpression": "expressions",
+    "OriginMismatch": "errors",
+    "ParseError": "errors",
+    "PathResult": "engine",
+    "RangeError": "errors",
+    "RatioStats": "survey",
+    "ScanRecord": "survey",
+    "SetLabel": "survey",
+    "VersionUnsupported": "errors",
+    "advance": "engine",
+    "catalog_entries": "catalog",
+    "catalog_entry": "catalog",
+    "checkpoint_from_state": "checkpoint",
+    "checkpoint_read": "checkpoint",
+    "checkpoint_write": "checkpoint",
+    "fit_loglog": "heuristics",
+    "heuristic_path_length": "heuristics",
+    "index_set": "survey",
+    "initial_state": "engine",
+    "is_prime": "catalog",
+    "lucas_lehmer": "catalog",
+    "mersenne_heuristic": "heuristics",
+    "mersenne_number": "catalog",
+    "next_prime": "catalog",
+    "odd_step_accelerated": "engine",
+    "parse_expression": "expressions",
+    "path_length": "engine",
+    "primes_from": "catalog",
+    "ratio_stats": "survey",
+    "raw_advance": "engine",
+    "reference_d": "survey",
+    "scan_ratios": "survey",
+    "serialize_checkpoint": "checkpoint",
+    "trace": "engine",
+    "verify_transit_lemma": "heuristics",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -16,9 +16,7 @@ test checks the Mersenne numbers themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import DomainError, RangeError, checked_exponent, checked_int, int_text
+from .errors import DomainError, RangeError, Record, checked_exponent, checked_int, int_text
 
 CATALOG_SIZE = 47
 
@@ -81,14 +79,13 @@ _ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """One catalog row: the k-th Mersenne prime and its reference data."""
 
-    rank: int
-    exponent: int
-    reference_d: int
-    reference_ratio: float
+    __slots__ = ("rank", "exponent", "reference_d", "reference_ratio")
+
+    def __init__(self, rank: int, exponent: int, reference_d: int, reference_ratio: float) -> None:
+        self._set_fields(rank, exponent, reference_d, reference_ratio)
 
 
 _ENTRIES = tuple(CatalogEntry(*row) for row in _ROWS)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import binascii
 import os
-from dataclasses import dataclass
 
 from .engine import IterationState
 from .errors import (
@@ -34,6 +33,7 @@ from .errors import (
     DomainError,
     MalformedField,
     ParseError,
+    Record,
     VersionUnsupported,
 )
 from .expressions import NumberExpression, parse_expression
@@ -43,14 +43,14 @@ CHECKPOINT_VERSION = 1
 _MAGIC_PREFIX = "CKMP "
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(Record):
     """The engine state one checkpoint file froze; it carries an origin."""
 
-    state: IterationState
+    __slots__ = ("state",)
 
-    def __post_init__(self) -> None:
-        origin = self.state.origin
+    def __init__(self, state: IterationState) -> None:
+        self._set_fields(state)
+        origin = state.origin
         if not isinstance(origin, NumberExpression):
             raise DomainError("checkpointing requires a state with an origin expression")
         # The file stores source_text, and the reader re-parses it.

@@ -22,6 +22,12 @@ error (exit 2) without it: catalog --format without --csv, whose aligned
 text has no delimiter, and pathlen --checkpoint-interval without
 --checkpoint.  Every table is written by _write_table.
 
+Each handler imports the module it runs, so a command loads only what it
+needs: verify, scan and stats import survey, fit and heuristic import
+heuristics, and pathlen imports checkpoint only under --checkpoint.  The
+modules the pathlen path and main's error handling need are imported at
+the top.
+
 pathlen has one run: it resumes the --checkpoint file when there is one
 (else starts at the expression's value) and calls advance until the value
 halts.  A plain run is one advance to the cycle guard; only a run that
@@ -39,19 +45,9 @@ from csv import QUOTE_MINIMAL, writer as csv_writer
 from typing import Iterable, TextIO
 
 from .catalog import catalog_entries, lucas_lehmer
-from .checkpoint import checkpoint_read, checkpoint_write
 from .engine import DEFAULT_CYCLE_GUARD, advance, initial_state, trace
 from .errors import CollatzPathError, OriginMismatch, ParseError, RangeError
 from .expressions import decimal_text, parse_decimal, parse_expression
-from .heuristics import fit_loglog, mersenne_heuristic
-from .survey import (
-    SetLabel,
-    index_set,
-    mersenne_path_lengths,
-    ratio_stats,
-    reference_d,
-    scan_ratios,
-)
 
 DEFAULT_CHECKPOINT_INTERVAL = 10**7
 
@@ -126,6 +122,13 @@ def _cmd_pathlen(args: argparse.Namespace, out: TextIO) -> int:
     if args.checkpoint is None and args.checkpoint_interval is not None:
         raise _UsageError("--checkpoint-interval needs --checkpoint")
     expr = parse_expression(args.expr)
+    if args.checkpoint is None:
+        # The budget path_length takes: a walk still running past it trips the guard.
+        interval = args.cycle_guard + 1
+    else:
+        from .checkpoint import checkpoint_read, checkpoint_write
+
+        interval = args.checkpoint_interval or DEFAULT_CHECKPOINT_INTERVAL
     if args.checkpoint is not None and os.path.exists(args.checkpoint):
         state = checkpoint_read(args.checkpoint).to_state()
         if state.origin != expr:
@@ -135,11 +138,6 @@ def _cmd_pathlen(args: argparse.Namespace, out: TextIO) -> int:
             )
     else:
         state = initial_state(expr.resolve(), origin=expr)
-    if args.checkpoint is None:
-        # The budget path_length takes: a walk still running past it trips the guard.
-        interval = args.cycle_guard + 1
-    else:
-        interval = args.checkpoint_interval or DEFAULT_CHECKPOINT_INTERVAL
     while not state.halted:
         state = advance(state, interval, cycle_guard=args.cycle_guard)
         if args.checkpoint is not None:
@@ -177,6 +175,8 @@ def _cmd_catalog(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
+    from .survey import mersenne_path_lengths
+
     entries = catalog_entries(*parse_rank_range(args.ranks))
     d_values = mersenne_path_lengths([e.exponent for e in entries], args.jobs, args.cycle_guard)
     matches = []
@@ -191,6 +191,8 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace, out: TextIO) -> int:
+    from .survey import scan_ratios
+
     records = scan_ratios(
         args.center,
         args.each_side,
@@ -205,6 +207,8 @@ def _cmd_scan(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
+    from .survey import index_set, mersenne_path_lengths, ratio_stats, reference_d
+
     try:
         rows = index_set(args.set_label, args.from_rank, args.to_rank)
     except RangeError as exc:
@@ -232,6 +236,8 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
+    from .heuristics import fit_loglog
+
     result = fit_loglog([(e.rank, e.exponent) for e in catalog_entries()])
     _write_table(args, out, ["intercept", "slope", "rms_residual"],
                  [[result.intercept, result.slope, result.rms_residual]])
@@ -239,6 +245,8 @@ def _cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_heuristic(args: argparse.Namespace, out: TextIO) -> int:
+    from .heuristics import mersenne_heuristic
+
     _write_table(args, out, ["n", "estimate"], [[args.n, mersenne_heuristic(args.n)]])
     return EXIT_OK
 
@@ -304,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes-only", action="store_true")
 
     p = command("stats", _cmd_stats, "ratio statistics for a comparison set", *shared)
-    p.add_argument("--set", required=True, choices=[label.value for label in SetLabel],
+    # survey.SetLabel's values, written out so that building the parser
+    # does not import survey.
+    p.add_argument("--set", required=True, choices=("mersenne", "A", "B", "C", "D"),
                    dest="set_label")
     p.add_argument("--from-rank", type=_int_at_least(), metavar="K")
     p.add_argument("--to-rank", type=_int_at_least(), metavar="L")

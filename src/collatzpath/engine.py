@@ -86,10 +86,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import CycleGuardExceeded, DomainError, checked_int, int_text
+from .errors import CycleGuardExceeded, DomainError, Record, checked_int, int_text
 
 if TYPE_CHECKING:
     from .expressions import NumberExpression
@@ -151,8 +150,7 @@ def _trailing_zeros(y: int) -> int:
     return (y & -y).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class PathResult:
+class PathResult(Record):
     """Outcome of a full run down to 1.
 
     d is the total number of rule applications; it always equals
@@ -160,20 +158,17 @@ class PathResult:
     any value visited, the start included.
     """
 
-    d: int
-    odd_steps: int
-    even_steps: int
-    peak_bit_length: int
+    __slots__ = ("d", "odd_steps", "even_steps", "peak_bit_length")
 
-    def __post_init__(self) -> None:
-        if self.d != self.odd_steps + self.even_steps:
+    def __init__(self, d: int, odd_steps: int, even_steps: int, peak_bit_length: int) -> None:
+        self._set_fields(d, odd_steps, even_steps, peak_bit_length)
+        if d != odd_steps + even_steps:
             raise DomainError("d must equal odd_steps + even_steps")
-        if min(self.d, self.odd_steps, self.even_steps, self.peak_bit_length) < 0:
+        if min(d, odd_steps, even_steps, peak_bit_length) < 0:
             raise DomainError("path result fields must be non-negative")
 
 
-@dataclass(frozen=True)
-class IterationState:
+class IterationState(Record):
     """Resumable snapshot of a single iteration.
 
     current is the value reached so far; the step counters say how it got
@@ -182,21 +177,24 @@ class IterationState:
     input.  States are immutable; advancing returns a new state.
     """
 
-    current: int
-    steps: int = 0
-    odd_steps: int = 0
-    even_steps: int = 0
-    peak_bit_length: int = 0
-    origin: NumberExpression | None = None
+    __slots__ = ("current", "steps", "odd_steps", "even_steps", "peak_bit_length", "origin")
 
-    def __post_init__(self) -> None:
-        current = checked_int(self.current, "current", 1)
-        object.__setattr__(self, "current", current)
-        if self.steps != self.odd_steps + self.even_steps:
+    def __init__(
+        self,
+        current: int,
+        steps: int = 0,
+        odd_steps: int = 0,
+        even_steps: int = 0,
+        peak_bit_length: int = 0,
+        origin: NumberExpression | None = None,
+    ) -> None:
+        current = checked_int(current, "current", 1)
+        self._set_fields(current, steps, odd_steps, even_steps, peak_bit_length, origin)
+        if steps != odd_steps + even_steps:
             raise DomainError("steps must equal odd_steps + even_steps")
-        if min(self.odd_steps, self.even_steps) < 0:
+        if min(odd_steps, even_steps) < 0:
             raise DomainError("step counters must be non-negative")
-        if self.peak_bit_length < current.bit_length():
+        if peak_bit_length < current.bit_length():
             raise DomainError("peak_bit_length cannot be below bit_length(current)")
 
     @property

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, its one integer check and
-its one exponent ceiling.
+"""Exception types shared across the package, its one integer check, its
+one exponent ceiling and the base class of its records.
 
 Everything raised on purpose derives from CollatzPathError so callers can
 catch one type at the boundary.  Domain/range violations also subclass
@@ -15,6 +15,11 @@ Every 2**n the package builds from a caller's exponent n takes n through
 checked_exponent first, so an n above MAX_EXPONENT is a RangeError before
 any shift or power runs, never a MemoryError or an allocation of
 gigabytes.
+
+Every immutable record the package returns (PathResult, IterationState,
+CatalogEntry, NumberExpression, Checkpoint, FitResult, IndexSet, RatioStats
+and ScanRecord) derives from Record, which lives here because every other
+module imports this one.
 """
 
 from __future__ import annotations
@@ -65,6 +70,51 @@ def checked_exponent(value: object, name: str, minimum: int = 0) -> int:
             f"got {int_text(value, 'value')}"
         )
     return value
+
+
+class Record:
+    """An immutable record whose fields are its class's __slots__, in order.
+
+    A subclass's __init__ takes the fields in that order, checks them and
+    stores them with _set_fields; afterwards a field can be neither assigned
+    nor deleted.  Records compare and hash by _key(), every field unless a
+    subclass narrows it, and another type compares unequal.  They print as
+    Name(field=value, ...), and pickle and copy by calling the class on the
+    fields again, so each copy passes the same checks.
+    """
+
+    __slots__ = ()
+
+    def _set_fields(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _key(self) -> tuple:
+        return self._fields()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 class CollatzPathError(Exception):

@@ -19,11 +19,10 @@ every integer option, and both halves of a rank range, through it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .catalog import catalog_entry, mersenne_number
-from .errors import DomainError, ParseError, checked_exponent, checked_int
+from .errors import DomainError, ParseError, Record, checked_exponent, checked_int
 
 
 # Python refuses str(int) and int(str) past a digit limit (4300 by default,
@@ -56,24 +55,24 @@ class ExpressionKind(str, Enum):
     MERSENNE_BY_RANK = "mersenne_by_rank"
 
 
-@dataclass(frozen=True)
-class NumberExpression:
+class NumberExpression(Record):
     """A parsed input expression.
 
     Equality and hashing use (kind, parameter) only, so "2^13-1" and "M13"
     compare equal; source_text preserves what was actually written.
     """
 
-    kind: ExpressionKind
-    parameter: int
-    source_text: str = field(default="", compare=False)
+    __slots__ = ("kind", "parameter", "source_text")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, ExpressionKind):
-            raise DomainError(f"kind must be an ExpressionKind, got {self.kind!r}")
-        object.__setattr__(self, "parameter", checked_int(self.parameter, "parameter", 0))
-        if not self.source_text:
+    def __init__(self, kind: ExpressionKind, parameter: int, source_text: str = "") -> None:
+        if not isinstance(kind, ExpressionKind):
+            raise DomainError(f"kind must be an ExpressionKind, got {kind!r}")
+        self._set_fields(kind, checked_int(parameter, "parameter", 0), source_text)
+        if not source_text:
             object.__setattr__(self, "source_text", self.canonical())
+
+    def _key(self) -> tuple:
+        return self.kind, self.parameter
 
     def canonical(self) -> str:
         """The shortest spelling; re-parsing it yields an equal expression."""

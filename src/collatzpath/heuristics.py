@@ -18,11 +18,10 @@ which the catalog ratios track to within half a percent from rank 13 up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .catalog import mersenne_number
 from .engine import initial_state, raw_advance
-from .errors import DegenerateFitError, DomainError, RangeError, checked_int, int_text
+from .errors import DegenerateFitError, DomainError, RangeError, Record, checked_int, int_text
 
 #: Expected rule applications per unit of ln N for a random start.
 C0 = 3.0 / math.log(4.0 / 3.0)
@@ -31,13 +30,13 @@ C0 = 3.0 / math.log(4.0 / 3.0)
 MERSENNE_SLOPE = 2.0 + C0 * math.log(3.0)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Least-squares line y = intercept + slope * k and its residual RMS."""
 
-    intercept: float
-    slope: float
-    rms_residual: float
+    __slots__ = ("intercept", "slope", "rms_residual")
+
+    def __init__(self, intercept: float, slope: float, rms_residual: float) -> None:
+        self._set_fields(intercept, slope, rms_residual)
 
 
 def heuristic_path_length(ln_n: float) -> float:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
 
 from .catalog import catalog_entries, is_prime, mersenne_number, next_prime, primes_from
@@ -38,6 +37,7 @@ from .errors import (
     DegenerateStatsError,
     DomainError,
     RangeError,
+    Record,
     checked_exponent,
     checked_int,
     int_text,
@@ -60,17 +60,15 @@ def _set_label(label: object) -> SetLabel:
         raise DomainError(f"label must be one of {valid}, got {label!r}") from None
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class IndexSet(Record):
     """A labeled, strictly increasing list of exponents."""
 
-    label: SetLabel
-    indices: tuple[int, ...]
+    __slots__ = ("label", "indices")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "label", _set_label(self.label))
-        indices = tuple(checked_int(i, "indices", 1) for i in self.indices)
-        object.__setattr__(self, "indices", indices)
+    def __init__(self, label: SetLabel, indices: tuple[int, ...]) -> None:
+        label = _set_label(label)
+        indices = tuple(checked_int(i, "indices", 1) for i in indices)
+        self._set_fields(label, indices)
         if not indices:
             raise DomainError("an index set cannot be empty")
         for a, b in zip(indices, indices[1:]):
@@ -81,23 +79,22 @@ class IndexSet:
                 )
 
 
-@dataclass(frozen=True)
-class RatioStats:
+class RatioStats(Record):
     """Mean and sample variance of D/n over an index set."""
 
-    count: int
-    mean: float
-    sample_variance: float
+    __slots__ = ("count", "mean", "sample_variance")
+
+    def __init__(self, count: int, mean: float, sample_variance: float) -> None:
+        self._set_fields(count, mean, sample_variance)
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(Record):
     """One scanned exponent: primality flag, D, and the ratio D/n."""
 
-    exponent: int
-    is_prime_index: bool
-    d: int
-    ratio: float
+    __slots__ = ("exponent", "is_prime_index", "d", "ratio")
+
+    def __init__(self, exponent: int, is_prime_index: bool, d: int, ratio: float) -> None:
+        self._set_fields(exponent, is_prime_index, d, ratio)
 
 
 def ratio_stats(pairs: list[tuple[int, int]]) -> RatioStats:

@@ -363,8 +363,8 @@ def test_stats_refuses_a_one_index_row_before_any_work(capsys, monkeypatch, boun
     def no_work(*args):
         pytest.fail("a one-index row must be refused before any lookup or recompute")
 
-    monkeypatch.setattr("collatzpath.cli.reference_d", no_work)
-    monkeypatch.setattr("collatzpath.cli.mersenne_path_lengths", no_work)
+    monkeypatch.setattr("collatzpath.survey.reference_d", no_work)
+    monkeypatch.setattr("collatzpath.survey.mersenne_path_lengths", no_work)
     code, out, err = run_cli(capsys, "stats", "--set", "mersenne", *bounds, "--jobs", "1")
     assert (code, out) == (2, "")
     assert err.startswith("collatzpath: usage error: statistics need at least 2 indices")
