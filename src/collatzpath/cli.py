@@ -42,12 +42,15 @@ import argparse
 import os
 import sys
 from csv import QUOTE_MINIMAL, writer as csv_writer
-from typing import Iterable, TextIO
 
 from .catalog import catalog_entries, lucas_lehmer
 from .engine import DEFAULT_CYCLE_GUARD, advance, initial_state, trace
 from .errors import CollatzPathError, OriginMismatch, ParseError, RangeError
 from .expressions import decimal_text, parse_decimal, parse_expression
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, TextIO
 
 DEFAULT_CHECKPOINT_INTERVAL = 10**7
 

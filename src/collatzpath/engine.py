@@ -42,17 +42,18 @@ of b, applies them to the rest of b with one multiply, and decides the
 second half from the low bits of the result.  Its leaves are passes over
 at most _BLOCK = 512 steps, eight steps per lookup in a 256-entry table,
 so the cost is a few balanced multiplies per level instead of one
-multiply of the whole value per 512 steps.
+multiply of the whole value per 512 steps.  The table is _steps, the one
+loop of single shortcut steps, run for eight steps on every byte.
 
 When the budget binds, the jump stops where the budget does.  Any prefix
 of a decided jump is exact, since the parities of its first j steps
 depend only on x mod 2**j; the recursion decides its steps in order, so
 it returns the longest prefix whose j + c rule applications fit: a leaf
-takes rounds of lookups that must fit, then single steps, a first half
-that stopped short is the whole prefix, and a second half is no wider
-than the steps left to it.  A budget far below the value's width is then
-one jump and a fused step or so, not a chain of ever narrower jumps, each
-a multiply of the whole value.
+takes rounds of lookups that must fit and ends with _steps, the loop the
+table was built by, a first half that stopped short is the whole prefix,
+and a second half is no wider than the steps left to it.  A budget far
+below the value's width is then one jump and a fused step or so, not a
+chain of ever narrower jumps, each a multiply of the whole value.
 
 Near 1, or at the end of a budget, it takes the fused step: for odd x it
 computes y = 3x+1 and divides out all trailing zero bits of y at once.
@@ -86,10 +87,10 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING
 
 from .errors import CycleGuardExceeded, DomainError, Record, checked_int, int_text
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .expressions import NumberExpression
 
@@ -110,33 +111,33 @@ _NEAR_INTEGER = 1e-7
 _CLIMB = 0.585
 
 
-def _eight_step_table() -> tuple[tuple, ...]:
-    # For r < 256: T**8(256*q + r) = 3**odd[r] * q + tail[r].  Of the odd
-    # steps among the eight, the one with the largest excursion
-    # c*log2(3) - j (c counting odd steps up to and including step j) has
-    # excursion exc[r], at_odd[r] = c and at_step[r] = j; r = 0 has none.
-    mul, tail, odd, exc, at_odd, at_step = [], [], [], [], [], []
-    for r in range(256):
-        y, c = r, 0
-        best, best_c, best_j = -math.inf, 0, 0
-        for j in range(8):
-            if y & 1:
-                y = (3 * y + 1) >> 1
-                c += 1
-                if c * _LOG2_3 - j > best:
-                    best, best_c, best_j = c * _LOG2_3 - j, c, j
-            else:
-                y >>= 1
-        mul.append(3**c)
-        tail.append(y)
-        odd.append(c)
-        exc.append(best)
-        at_odd.append(best_c)
-        at_step.append(best_j)
-    return tuple(mul), tuple(tail), tuple(odd), tuple(exc), tuple(at_odd), tuple(at_step)
+def _steps(y: int, k: int, cap: int) -> tuple[int, int, int, float, int, int]:
+    """Single shortcut steps of y while they fit: (T**j(y), c, j, e, at_odd, at_step).
+
+    Steps are taken while j < k and the next one keeps the j + c rule
+    applications within cap, c counting the odd steps.  Of the odd steps,
+    the one with the largest excursion c'*log2(3) - i (c' counting the odd
+    steps up to and including step i) has excursion e, at_odd = c' and
+    at_step = i; with no odd step e is -inf and both are 0.
+    """
+    c = j = at_odd = at_step = 0
+    e = -math.inf
+    while j < k and j + 1 + c + (y & 1) <= cap:
+        if y & 1:
+            y = (3 * y + 1) >> 1
+            c += 1
+            if c * _LOG2_3 - j > e:
+                e, at_odd, at_step = c * _LOG2_3 - j, c, j
+        else:
+            y >>= 1
+        j += 1
+    return y, c, j, e, at_odd, at_step
 
 
-_T8_MUL, _T8_TAIL, _T8_ODD, _T8_EXC, _T8_AT_ODD, _T8_AT_STEP = _eight_step_table()
+# For r < 256: T**8(256*q + r) = 3**_T8_ODD[r] * q + _T8_TAIL[r].  Eight
+# steps take at most 16 rule applications, so each row covers all eight.
+_T8_TAIL, _T8_ODD, _, _T8_EXC, _T8_AT_ODD, _T8_AT_STEP = zip(*(_steps(r, 8, 16) for r in range(256)))
+_T8_MUL = tuple(3**c for c in _T8_ODD)
 
 
 @functools.cache
@@ -174,7 +175,9 @@ class IterationState(Record):
     current is the value reached so far; the step counters say how it got
     there.  origin optionally records the expression the run was started
     from, which checkpointing uses to refuse resumes against the wrong
-    input.  States are immutable; advancing returns a new state.
+    input.  peak_bit_length defaults to the bit length of current, so
+    IterationState(x) is the fresh state at x.  States are immutable;
+    advancing returns a new state.
     """
 
     __slots__ = ("current", "steps", "odd_steps", "even_steps", "peak_bit_length", "origin")
@@ -185,10 +188,12 @@ class IterationState(Record):
         steps: int = 0,
         odd_steps: int = 0,
         even_steps: int = 0,
-        peak_bit_length: int = 0,
+        peak_bit_length: int | None = None,
         origin: NumberExpression | None = None,
     ) -> None:
         current = checked_int(current, "current", 1)
+        if peak_bit_length is None:
+            peak_bit_length = current.bit_length()
         self._set_fields(current, steps, odd_steps, even_steps, peak_bit_length, origin)
         if steps != odd_steps + even_steps:
             raise DomainError("steps must equal odd_steps + even_steps")
@@ -204,15 +209,7 @@ class IterationState(Record):
 
 def initial_state(x: int, origin: NumberExpression | None = None) -> IterationState:
     """Fresh state at x with zeroed counters."""
-    x = checked_int(x, "x", 1)
-    return IterationState(
-        current=x,
-        steps=0,
-        odd_steps=0,
-        even_steps=0,
-        peak_bit_length=x.bit_length(),
-        origin=origin,
-    )
+    return IterationState(checked_int(x, "x", 1), origin=origin)
 
 
 def odd_step_accelerated(x: int) -> tuple[int, int]:
@@ -243,7 +240,7 @@ def _leaf(low: int, k: int, track: bool, cap: int) -> tuple[int, int, int | None
     whose j + c do.  The lookups go in rounds that must fit: a lookup takes
     at most 16 rule applications, so a round of n steps takes at most 2n,
     and a leaf whose k steps fit the cap is one round.  Single steps
-    follow while they fit.
+    follow while they fit, by _steps.
     When track is set, the excursion is the largest c*log2(3) - i over the
     odd steps i, c counting the odd steps up to and including step i, in
     _FIX fixed point; it is None when untracked or when no step is odd.  A
@@ -269,15 +266,13 @@ def _leaf(low: int, k: int, track: bool, cap: int) -> tuple[int, int, int | None
         j += n
         n = j < k and min(k - j, cap - j - c >> 1) & -8
     if j < k:
-        while j < k and j + 1 + c + (y & 1) <= cap:
-            if y & 1:
-                y = (3 * y + 1) >> 1
-                c += 1
-                if track and c * _LOG2_3 - j > best:
-                    best, at_odd, at_step = c * _LOG2_3 - j, c, j
-            else:
-                y >>= 1
-            j += 1
+        # Folded in as a lookup is, with the steps counted from j and c.
+        y, c_tail, j_tail, e, e_odd, e_step = _steps(y, k - j, cap - j - c)
+        e += c * _LOG2_3 - j
+        if track and e > best:
+            best, at_odd, at_step = e, c + e_odd, j + e_step
+        c += c_tail
+        j += j_tail
         # y is T**j(low) = 3**c * (low >> j) + T**j(low mod 2**j).
         y -= _pow3(c) * (low >> j)
     if best == -math.inf:

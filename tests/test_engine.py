@@ -1,5 +1,6 @@
 """Engine tests: the stepping kernel must agree with a naive stepper everywhere."""
 
+import math
 from decimal import Decimal, localcontext
 from unittest import mock
 
@@ -258,6 +259,14 @@ def test_initial_state_fields():
     assert not state.halted
     assert initial_state(1).halted
     with pytest.raises(DomainError):
+        initial_state(0)
+
+
+def test_a_state_defaults_to_the_fresh_state_at_its_value():
+    for origin in (None, parse_expression("M20000")):
+        for x in (1, 7, 2**20000 - 1):
+            assert IterationState(x, origin=origin) == initial_state(x, origin)
+    with pytest.raises(DomainError, match="x must be >= 1"):
         initial_state(0)
 
 
@@ -534,6 +543,62 @@ def test_fixed_point_log2_3_is_the_floor():
         ctx.prec = 60
         scaled = Decimal(3).ln() / Decimal(2).ln() * 2**engine_module._FIX
     assert engine_module._LOG2_3_FIX == int(scaled)
+
+
+def shortcut_prefixes(y: int, k: int) -> list[tuple[int, int, tuple[int, int] | None]]:
+    """(T**j(y), c, (c', i) of the largest excursion) for j = 0..k, rule by rule.
+
+    A shortcut step is two naive rules from an odd value and one from an
+    even value.  Of the odd steps so far, the largest excursion
+    c'*log2(3) - i is picked by exact comparison: step a beats step b when
+    3**c_a * 2**i_b > 3**c_b * 2**i_a.
+    """
+    prefixes = [(y, 0, None)]
+    c = 0
+    best = None
+    for i in range(k):
+        if y & 1:
+            y = naive_step(naive_step(y))
+            c += 1
+            if best is None or 3**c * 2**best[1] > 3**best[0] * 2**i:
+                best = (c, i)
+        else:
+            y = naive_step(y)
+        prefixes.append((y, c, best))
+    return prefixes
+
+
+def test_the_eight_step_table_is_the_shortcut_map_rule_by_rule():
+    e = engine_module
+    for r in range(256):
+        y, c, best = shortcut_prefixes(r, 8)[8]
+        at_odd, at_step = best or (0, 0)
+        row = (e._T8_MUL[r], e._T8_TAIL[r], e._T8_ODD[r], e._T8_AT_ODD[r], e._T8_AT_STEP[r])
+        assert row == (3**c, y, c, at_odd, at_step), r
+        if best is None:
+            assert e._T8_EXC[r] == -math.inf, r
+        else:
+            assert e._T8_EXC[r] == e._T8_AT_ODD[r] * e._LOG2_3 - e._T8_AT_STEP[r], r
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_a_leaf_takes_the_longest_prefix_that_fits_its_cap(data):
+    # Caps up to 2k + 8 stop a leaf inside a round of lookups and inside
+    # the single steps after the rounds, or not at all.
+    k = data.draw(st.sampled_from([8, 64, 512]))
+    low = data.draw(st.integers(0, 2**k - 1))
+    cap = data.draw(st.integers(0, 2 * k + 8))
+    track = data.draw(st.booleans())
+    c, tail, exc, j = engine_module._leaf(low, k, track, cap)
+    fits = [i for i, (_, odd, _) in enumerate(shortcut_prefixes(low, k)) if i + odd <= cap]
+    assert j == fits[-1]
+    value, odd, best = shortcut_prefixes(low % 2**j, j)[j]
+    assert (c, tail) == (odd, value)
+    if best is None or not track:
+        assert exc is None
+    else:
+        assert exc == best[0] * engine_module._LOG2_3_FIX - (best[1] << engine_module._FIX)
 
 
 @pytest.mark.parametrize("above", [False, True])

@@ -59,11 +59,11 @@ def command_modules(*argv):
     return modules_after(f"import collatzpath.cli\ncollatzpath.cli.main({list(argv)!r})")
 
 
-def test_pathlen_loads_neither_the_survey_the_heuristics_nor_the_checkpoint():
+def test_pathlen_loads_neither_the_survey_the_heuristics_the_checkpoint_nor_typing():
     loaded = command_modules("pathlen", "M7")
     assert "collatzpath.cli" in loaded
     for name in ("collatzpath.survey", "collatzpath.heuristics", "collatzpath.checkpoint",
-                 "dataclasses", "inspect"):
+                 "dataclasses", "inspect", "typing"):
         assert name not in loaded, name
 
 
@@ -79,7 +79,8 @@ def test_a_checkpointed_pathlen_loads_the_checkpoint(tmp_path):
     assert "collatzpath.checkpoint" in loaded
 
 
-def test_no_module_of_the_package_loads_dataclasses():
+def test_no_module_of_the_package_loads_dataclasses_or_typing():
     loaded = modules_after("\n".join(f"import collatzpath.{name}" for name in MODULES))
     assert {f"collatzpath.{name}" for name in MODULES} <= loaded
     assert "dataclasses" not in loaded
+    assert "typing" not in loaded
