@@ -64,17 +64,19 @@ step is split after its 3x+1 half when only one rule application is left.
 
 A jump's peak bit length comes from the excursion c*log2(3) - j of each
 odd step j, c counting the odd steps up to and including it: that step's
-3x+1 has log2(a) + k + the excursion as its log2, to within 2**-61.  Each table
-entry carries the largest excursion of its eight steps, so a leaf finds
-its largest with one comparison per lookup, and only leaves that could
-climb above the peak so far track it at all.  Across leaves the largest is
-carried as an integer with _FIX = 96 fractional bits, exact to within
-c * 2**-96.  The bit length is read from a float estimate that errs by
-less than 1e-12 in all; when that estimate lies within _NEAR_INTEGER =
-1e-7 of an integer, the jump's k + c rule applications are replayed as
-two walks of half as many each; one walk of all of them would take the
-same jump again.  Their moves narrow with their budgets, down to runs and
-fused steps, which settle it exactly.
+3x+1 has log2(a) + k + the excursion as its log2, to within 2**-61.  The
+largest excursion is one integer with _FIX = 96 fractional bits, exact to
+within c * 2**-96, from _steps and the table up, and -inf when no step
+is odd.  Of two moves made in turn, it is the larger of the first's and
+the second's offset by the first's c*log2(3) - k.  Each table entry
+carries the largest of its eight steps, so a leaf finds its largest with
+one comparison per lookup, and only leaves that could climb above the
+peak so far track it at all.  The bit length is read from a float
+estimate that errs by less than 1e-12 in all; when that estimate lies
+within _NEAR_INTEGER = 1e-7 of an integer, the jump's k + c rule
+applications are replayed as two walks of half as many each; one walk
+of all of them would take the same jump again.  Their moves narrow with
+their budgets, down to runs and fused steps, which settle it exactly.
 
 Values are plain Python ints throughout.  Termination of the iteration is
 an open conjecture, so every iterating function takes a cycle_guard step
@@ -85,7 +87,6 @@ makes the guard the walk's budget and raises when the walk passed it.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .errors import CycleGuardExceeded, DomainError, Record, checked_int, int_text
@@ -111,39 +112,38 @@ _NEAR_INTEGER = 1e-7
 _CLIMB = 0.585
 
 
-def _steps(y: int, k: int, cap: int) -> tuple[int, int, int, float, int, int]:
-    """Single shortcut steps of y while they fit: (T**j(y), c, j, e, at_odd, at_step).
+def _steps(y: int, k: int, cap: int) -> tuple[int, int, int, int | float]:
+    """Single shortcut steps of y while they fit: (T**j(y), c, j, e).
 
     Steps are taken while j < k and the next one keeps the j + c rule
-    applications within cap, c counting the odd steps.  Of the odd steps,
-    the one with the largest excursion c'*log2(3) - i (c' counting the odd
-    steps up to and including step i) has excursion e, at_odd = c' and
-    at_step = i; with no odd step e is -inf and both are 0.
+    applications within cap, c counting the odd steps.  e is the largest
+    excursion c'*log2(3) - i over the odd steps i, c' counting the odd
+    steps up to and including step i, in _FIX fixed point; -inf with no
+    odd step.
     """
-    c = j = at_odd = at_step = 0
+    c = j = 0
     e = -math.inf
     while j < k and j + 1 + c + (y & 1) <= cap:
         if y & 1:
             y = (3 * y + 1) >> 1
             c += 1
-            if c * _LOG2_3 - j > e:
-                e, at_odd, at_step = c * _LOG2_3 - j, c, j
+            e = max(e, c * _LOG2_3_FIX - (j << _FIX))
         else:
             y >>= 1
         j += 1
-    return y, c, j, e, at_odd, at_step
+    return y, c, j, e
 
+
+# 3**c for the c <= _BLOCK odd steps a leaf can take.
+_POW3 = [1]
+while len(_POW3) <= _BLOCK:
+    _POW3.append(3 * _POW3[-1])
+_POW3 = tuple(_POW3)
 
 # For r < 256: T**8(256*q + r) = 3**_T8_ODD[r] * q + _T8_TAIL[r].  Eight
 # steps take at most 16 rule applications, so each row covers all eight.
-_T8_TAIL, _T8_ODD, _, _T8_EXC, _T8_AT_ODD, _T8_AT_STEP = zip(*(_steps(r, 8, 16) for r in range(256)))
-_T8_MUL = tuple(3**c for c in _T8_ODD)
-
-
-@functools.cache
-def _pow3(c: int) -> int:
-    # Leaves only: c never exceeds _BLOCK, so the cache stays small.
-    return 3**c
+_T8_TAIL, _T8_ODD, _, _T8_EXC = zip(*(_steps(r, 8, 16) for r in range(256)))
+_T8_MUL = tuple(_POW3[c] for c in _T8_ODD)
 
 
 def _trailing_zeros(y: int) -> int:
@@ -232,8 +232,8 @@ def _climb(x: int, t: int) -> int:
     return 3**t * ((x >> t) + 1) - 1
 
 
-def _leaf(low: int, k: int, track: bool, cap: int) -> tuple[int, int, int | None, int]:
-    """Up to k shortcut steps of low < 2**k by table: (c, T**j(low mod 2**j), excursion, j).
+def _leaf(low: int, k: int, track: bool, cap: int) -> tuple[int, int, int, int | float, int]:
+    """Up to k shortcut steps of low < 2**k by table: (c, 3**c, T**j(low mod 2**j), excursion, j).
 
     k is a multiple of 8 and c counts the odd steps.  j is k when the k
     steps take at most cap rule applications, else the longest prefix
@@ -243,10 +243,9 @@ def _leaf(low: int, k: int, track: bool, cap: int) -> tuple[int, int, int | None
     follow while they fit, by _steps.
     When track is set, the excursion is the largest c*log2(3) - i over the
     odd steps i, c counting the odd steps up to and including step i, in
-    _FIX fixed point; it is None when untracked or when no step is odd.  A
-    leaf has at most _BLOCK steps, where two excursions differ by at least
-    1.4e-3 (the closest approach of c*log2(3) to an integer for c <= 512),
-    so the float comparison below picks the largest exactly.
+    _FIX fixed point; it is -inf when untracked or when no step is odd.
+    A -inf from the table or from _steps joins integer sums below 2**110
+    here, so the sum is -inf, never a float overflow.
     """
     y = low
     c = j = 0
@@ -258,38 +257,24 @@ def _leaf(low: int, k: int, track: bool, cap: int) -> tuple[int, int, int | None
         for i in range(j, j + n, 8):
             r = y & 255
             y = _T8_MUL[r] * (y >> 8) + _T8_TAIL[r]
-            if track:
-                e = c * _LOG2_3 - i + _T8_EXC[r]
-                if e > best:
-                    best, at_odd, at_step = e, c + _T8_AT_ODD[r], i + _T8_AT_STEP[r]
+            if track and (e := c * _LOG2_3_FIX - (i << _FIX) + _T8_EXC[r]) > best:
+                best = e
             c += _T8_ODD[r]
         j += n
         n = j < k and min(k - j, cap - j - c >> 1) & -8
     if j < k:
         # Folded in as a lookup is, with the steps counted from j and c.
-        y, c_tail, j_tail, e, e_odd, e_step = _steps(y, k - j, cap - j - c)
-        e += c * _LOG2_3 - j
-        if track and e > best:
-            best, at_odd, at_step = e, c + e_odd, j + e_step
+        y, c_tail, j_tail, e = _steps(y, k - j, cap - j - c)
+        if track:
+            best = max(best, c * _LOG2_3_FIX - (j << _FIX) + e)
         c += c_tail
         j += j_tail
         # y is T**j(low) = 3**c * (low >> j) + T**j(low mod 2**j).
-        y -= _pow3(c) * (low >> j)
-    if best == -math.inf:
-        return c, y, None, j
-    return c, y, at_odd * _LOG2_3_FIX - (at_step << _FIX), j
+        y -= _POW3[c] * (low >> j)
+    return c, _POW3[c], y, best, j
 
 
-def _later(first: int | None, second: int | None, c: int, k: int) -> int | None:
-    # The excursion of two moves made in turn, the first taking k steps
-    # with c odd ones: the second's excursion counts from where it starts.
-    if second is None:
-        return first
-    second += c * _LOG2_3_FIX - (k << _FIX)
-    return second if first is None or second > first else first
-
-
-def _jump(low: int, k: int, room: float, cap: int) -> tuple[int, int, int, int | None, int]:
+def _jump(low: int, k: int, room: float, cap: int) -> tuple[int, int, int, int | float, int]:
     """Up to k shortcut steps of low < 2**k: (c, 3**c, T**j(low mod 2**j), excursion, j).
 
     k is a multiple of 8.  j is k, or the longest prefix of the k steps
@@ -300,11 +285,11 @@ def _jump(low: int, k: int, room: float, cap: int) -> tuple[int, int, int, int |
     whole prefix, and a second half is no wider than the steps its cap
     affords.  room is how far the peak lies above the bit length the jump
     starts from; a leaf tracks its excursion only if it could climb that
-    far.
+    far.  The excursion is the largest over the j steps, as _leaf's is,
+    and -inf when no leaf tracked one.
     """
     if k <= _BLOCK:
-        c, y, exc, j = _leaf(low, k, _CLIMB * k + 3 > room, cap)
-        return c, _pow3(c), y, exc, j
+        return _leaf(low, k, _CLIMB * k + 3 > room, cap)
     half = k >> 4 << 3
     c1, p1, y1, e1, j1 = _jump(low & ((1 << half) - 1), half, room, cap)
     if j1 < half:
@@ -325,7 +310,10 @@ def _jump(low: int, k: int, room: float, cap: int) -> tuple[int, int, int, int |
         # mid carried the first half over all of high; the prefix reads
         # only its low j2 bits.
         y -= power * (high >> j2)
-    return c1 + c2, power, y, _later(e1, e2, c1, half), half + j2
+    if e2 != -math.inf:
+        # The second half's excursion counts from where it starts.
+        e1 = max(e1, e2 + c1 * _LOG2_3_FIX - (half << _FIX))
+    return c1 + c2, power, y, e1, half + j2
 
 
 def _peak_after(peak: int, a: int, k: int, exc: int) -> int | None:
@@ -397,7 +385,7 @@ def _walk(
             else:
                 c, power, y, exc, k = _jump(low, k, peak - bits, remaining)
                 a = x >> k
-                top = peak if exc is None else _peak_after(peak, a, k, exc)
+                top = peak if exc == -math.inf else _peak_after(peak, a, k, exc)
                 if top is None:
                     # Replaying the jump's k + c rule applications in one
                     # walk would take the same jump again; each of two walks

@@ -1,6 +1,8 @@
 """Catalog fixture integrity plus the primality machinery built on it."""
 
+import csv
 import math
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,32 @@ def test_rank_45_carries_the_corrected_exponent():
     assert abs(entry.reference_d / RANK_45_EXPONENT_MISPRINT - entry.reference_ratio) > 10
     # And only the corrected value keeps the exponent column monotone.
     assert catalog_entry(44).exponent < entry.exponent < catalog_entry(46).exponent
+
+
+# Ranks too slow for any test tier, recomputed offline through the public
+# command by two routes: A is `pathlen Mp<k>` and B the same checkpointed
+# every 9999991 steps, so that its budget ends split the jumps elsewhere.
+RECOMPUTED = Path(__file__).resolve().parent.parent / "data" / "catalog_recomputed.csv"
+
+
+def test_recomputed_ranks_agree_by_both_routes_and_with_the_catalog():
+    with open(RECOMPUTED, newline="") as f:
+        rows = list(csv.DictReader(f))
+    routes = {}
+    for row in rows:
+        routes.setdefault(int(row["rank"]), {})[row["route"]] = row
+    assert len(rows) == 2 * len(routes)
+    assert {39, 40} <= set(routes)
+    fields = ("rank", "n", "d", "odd", "even", "peak")
+    for rank, by_route in routes.items():
+        assert sorted(by_route) == ["A", "B"], rank
+        a, b = by_route["A"], by_route["B"]
+        assert [a[f] for f in fields] == [b[f] for f in fields], rank
+        n, d, odd, even, peak = (int(a[f]) for f in fields[1:])
+        entry = catalog_entry(rank)
+        assert n == entry.exponent, rank
+        assert d == entry.reference_d == odd + even, rank
+        assert peak >= n, rank
 
 
 @pytest.mark.parametrize("bad_rank", [0, 48, -3, 1000])

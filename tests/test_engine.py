@@ -568,17 +568,32 @@ def shortcut_prefixes(y: int, k: int) -> list[tuple[int, int, tuple[int, int] | 
     return prefixes
 
 
+def fixed_excursion(best: tuple[int, int] | None) -> int | float:
+    # The oracle's largest excursion in the engine's fixed point; -inf for none.
+    if best is None:
+        return -math.inf
+    return best[0] * engine_module._LOG2_3_FIX - (best[1] << engine_module._FIX)
+
+
 def test_the_eight_step_table_is_the_shortcut_map_rule_by_rule():
     e = engine_module
     for r in range(256):
         y, c, best = shortcut_prefixes(r, 8)[8]
-        at_odd, at_step = best or (0, 0)
-        row = (e._T8_MUL[r], e._T8_TAIL[r], e._T8_ODD[r], e._T8_AT_ODD[r], e._T8_AT_STEP[r])
-        assert row == (3**c, y, c, at_odd, at_step), r
-        if best is None:
-            assert e._T8_EXC[r] == -math.inf, r
-        else:
-            assert e._T8_EXC[r] == e._T8_AT_ODD[r] * e._LOG2_3 - e._T8_AT_STEP[r], r
+        row = (e._T8_MUL[r], e._T8_TAIL[r], e._T8_ODD[r], e._T8_EXC[r])
+        assert row == (3**c, y, c, fixed_excursion(best)), r
+    assert e._POW3 == tuple(3**c for c in range(e._BLOCK + 1))
+
+
+def assert_longest_prefix_that_fits(got: tuple, low: int, k: int, cap: int, track: bool) -> None:
+    # got is (c, 3**c, T**j(low mod 2**j), excursion, j) for the longest
+    # prefix j of low's k shortcut steps whose j + c rule applications fit
+    # cap, the excursion -inf unless tracked.
+    c, power, tail, exc, j = got
+    fits = [i for i, (_, odd, _) in enumerate(shortcut_prefixes(low, k)) if i + odd <= cap]
+    assert j == fits[-1]
+    value, odd, best = shortcut_prefixes(low % 2**j, j)[j]
+    assert (c, power, tail) == (odd, 3**odd, value)
+    assert exc == (fixed_excursion(best) if track else -math.inf)
 
 
 @settings(max_examples=300)
@@ -590,15 +605,21 @@ def test_a_leaf_takes_the_longest_prefix_that_fits_its_cap(data):
     low = data.draw(st.integers(0, 2**k - 1))
     cap = data.draw(st.integers(0, 2 * k + 8))
     track = data.draw(st.booleans())
-    c, tail, exc, j = engine_module._leaf(low, k, track, cap)
-    fits = [i for i, (_, odd, _) in enumerate(shortcut_prefixes(low, k)) if i + odd <= cap]
-    assert j == fits[-1]
-    value, odd, best = shortcut_prefixes(low % 2**j, j)[j]
-    assert (c, tail) == (odd, value)
-    if best is None or not track:
-        assert exc is None
-    else:
-        assert exc == best[0] * engine_module._LOG2_3_FIX - (best[1] << engine_module._FIX)
+    got = engine_module._leaf(low, k, track, cap)
+    assert_longest_prefix_that_fits(got, low, k, cap, track)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_jump_carries_its_largest_excursion_across_leaves(data):
+    # Wider than one leaf, so the excursion of a second half is offset by
+    # the first half's and the larger kept.  With room 0.0 every leaf
+    # tracks; caps up to 2k + 8 stop the jump in either half, or not at all.
+    k = data.draw(st.sampled_from([BLOCK + 8, 2 * BLOCK, 4 * BLOCK]))
+    low = data.draw(st.integers(0, 2**k - 1))
+    cap = data.draw(st.one_of(st.just(2 * k), st.integers(0, 2 * k + 8)))
+    got = engine_module._jump(low, k, 0.0, cap)
+    assert_longest_prefix_that_fits(got, low, k, cap, True)
 
 
 @pytest.mark.parametrize("above", [False, True])
