@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
-Every analysis the library performs is reachable here, and everything is
-emitted as CSV (or TSV) so downstream plotting is two columns away.  Exit
+Every analysis the library performs is reachable here, and every table is
+emitted as CSV (or TSV) so downstream plotting is two columns away; only
+catalog without --csv prints aligned text for reading.  Exit
 codes: 0 success, 1 verification mismatch, 2 usage or expression parse
 error, 3 runtime failure (guard trips, checkpoint damage, I/O, memory), 130
 interrupted (Ctrl-C), each reported in one line, and 141 (128 + SIGPIPE,
@@ -20,7 +21,8 @@ takes only those its handler reads: --jobs only verify, scan and stats,
 (exit 2).  A flag that only means something beside another is a usage
 error (exit 2) without it: catalog --format without --csv, whose aligned
 text has no delimiter, and pathlen --checkpoint-interval without
---checkpoint.  Every table is written by _write_table.
+--checkpoint.  Every table but catalog's aligned text is written by
+_write_table.
 
 Each handler imports the module it runs, so a command loads only what it
 needs: verify, scan and stats import survey, fit and heuristic import

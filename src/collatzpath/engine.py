@@ -348,20 +348,19 @@ def _walk(
     odd: int,
     even: int,
     peak: int,
-    budget: int,
+    remaining: int,
     halt: bool,
 ) -> tuple[int, int, int, int]:
-    """The stepping kernel: budget rule applications from x, fewer if it halts.
+    """The stepping kernel: remaining rule applications from x, fewer if it halts.
 
     odd, even and peak carry the counters of the walk so far and come back
-    updated with the new current value.  Each move is a run over a window
-    of one bits, a jump over any other window, or a fused step.  With halt
+    updated with the new current value.  Each move is a run over low one
+    bits, a jump over any other low bits, or a fused step.  With halt
     set, the walk stops on reaching 1.  A near-tie replay is two walks of
     half the jump's k + c rule applications each, so its moves narrow with
     its budget.  It raises nothing: _advanced bounds it by the cycle guard
-    through budget.
+    through remaining.
     """
-    remaining = budget
     while remaining and not (halt and x == 1):
         bits = x.bit_length()
         # A jump of k shortcut steps leaves a = x >> k at least 64 bits
@@ -370,10 +369,9 @@ def _walk(
         k = min(bits - 64 >> 1, remaining) & -8
         w = min(k, remaining >> 1)
         if w >= 8:
-            mask = (1 << k) - 1
-            low = x & mask
-            window = mask >> k - w
-            if low & window == window:
+            low = x & (1 << k) - 1
+            # A run when the low w bits are all one bits.
+            if _trailing_zeros(low + 1) >= w:
                 # A run move: every step is odd and climbs, so the run's last
                 # 3x+1, twice the new x, is its highest value.
                 t = min(_trailing_zeros(x + 1), remaining >> 1)
@@ -506,19 +504,14 @@ def trace(
     guard = checked_int(cycle_guard, "cycle_guard", 1)
     if max_entries is not None:
         max_entries = checked_int(max_entries, "max_entries", 0)
-        if max_entries == 0:
-            return []
-    visited = [x]
-    steps = 0
-    while x != 1:
-        if max_entries is not None and len(visited) >= max_entries:
-            break
+    visited = [x][:max_entries]
+    while x != 1 and (max_entries is None or len(visited) < max_entries):
         if x & 1:
             x = 3 * x + 1
         else:
             x >>= 1
-        steps += 1
-        if steps > guard:
+        # len(visited) counts the steps taken, this one included.
+        if len(visited) > guard:
             raise CycleGuardExceeded(visited[0], guard)
         visited.append(x)
     return visited

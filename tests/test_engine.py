@@ -247,6 +247,16 @@ def test_trace_length_and_adjacency():
 def test_trace_guard_trips():
     with pytest.raises(CycleGuardExceeded):
         trace(27, cycle_guard=50)
+    # The boundary is exact.  D(7) = 16: a guard of 16 lets the whole trace
+    # through, 15 trips on its last step, and a truncated trace trips only
+    # if it takes a step past the guard.
+    assert trace(7, cycle_guard=16) == SEVEN_TRACE
+    with pytest.raises(CycleGuardExceeded) as excinfo:
+        trace(7, cycle_guard=15)
+    assert (excinfo.value.start, excinfo.value.limit) == (7, 15)
+    assert trace(7, 4, cycle_guard=3) == SEVEN_TRACE[:4]
+    with pytest.raises(CycleGuardExceeded):
+        trace(7, 5, cycle_guard=3)
 
 
 def test_initial_state_fields():
