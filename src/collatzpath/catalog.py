@@ -5,10 +5,10 @@ rounded ratio D/n as published alongside the exponent list this package
 reproduces.  The default test tier recomputes ranks 1..31, in about two
 seconds together, -m long adds ranks 32..35 (about 15 s) and -m huge
 ranks 36..38.  Ranks 39..47 take from a minute and a half to a quarter
-of an hour each.  Ranks 39..43 are recomputed twice, offline: both
-routes of each, a plain and a checkpointed pathlen, are recorded in
+of an hour each, and are recomputed twice, offline: both routes of each,
+a plain and a checkpointed pathlen, are recorded in
 data/catalog_recomputed.csv, which a tier-1 test checks against the rows
-here.  Ranks 44..47 stand as unverified reference data.
+here.  So no row of the catalog is unverified.
 
 The catalog's rules live here alone: catalog_entries(from_rank, to_rank)
 is the package's one check of a rank range, and primes_from its one walk

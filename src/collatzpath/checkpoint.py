@@ -41,6 +41,8 @@ from .expressions import NumberExpression, parse_expression
 CHECKPOINT_VERSION = 1
 
 _MAGIC_PREFIX = "CKMP "
+# Every file ends in these lines, with the payload's CRC-32 in place of %08x.
+_TRAILER = b"crc32=%08x\nEND\n"
 
 
 class Checkpoint(Record):
@@ -87,6 +89,11 @@ def _payload(state: IterationState) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def _trailer(payload: bytes) -> bytes:
+    """The crc32 and END lines below a payload."""
+    return _TRAILER % binascii.crc32(payload)
+
+
 def checkpoint_from_state(state: IterationState) -> Checkpoint:
     """Freeze an engine state.  The state must carry an origin expression."""
     return Checkpoint(state)
@@ -95,7 +102,7 @@ def checkpoint_from_state(state: IterationState) -> Checkpoint:
 def serialize_checkpoint(cp: Checkpoint) -> bytes:
     """Canonical file image for a checkpoint."""
     payload = _payload(cp.state)
-    return payload + f"crc32={binascii.crc32(payload):08x}\nEND\n".encode("ascii")
+    return payload + _trailer(payload)
 
 
 def checkpoint_write(path: str | os.PathLike, state: IterationState) -> Checkpoint:
@@ -129,12 +136,13 @@ def checkpoint_write(path: str | os.PathLike, state: IterationState) -> Checkpoi
 def checkpoint_read(path: str | os.PathLike) -> Checkpoint:
     """Load and validate a checkpoint file.
 
-    Raises VersionUnsupported for a first line "CKMP <v>" with another
-    version, whatever follows it; ChecksumMismatch when the payload fails
-    its CRC; and MalformedField for structural damage or any payload
-    other than the one the writer produces for the state it names.  A
-    returned checkpoint is always resumable and re-serializes to the exact
-    bytes on disk.
+    A file is accepted exactly when it equals the bytes the writer produces
+    for the state its fields name, so a returned checkpoint is always
+    resumable and re-serializes to the exact bytes on disk.  Refusals:
+    VersionUnsupported for a first line "CKMP <v>" with another version,
+    whatever follows it; ChecksumMismatch for a file that is the writer's
+    image of its first seven lines but for the CRC its crc32 line records;
+    and MalformedField for any other file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -149,25 +157,20 @@ def checkpoint_read(path: str | os.PathLike) -> Checkpoint:
     version_text = magic[len(_MAGIC_PREFIX):]
     if version_text != str(CHECKPOINT_VERSION):
         raise VersionUnsupported(f"unsupported checkpoint version {version_text!r}")
-    # magic, six fields, crc line, END, plus the empty tail of the final newline
-    if len(lines) != 10 or lines[-1] != b"" or lines[-2] != b"END":
-        raise MalformedField("checkpoint does not have the expected line structure")
-    crc_line = lines[7]
-    if not crc_line.startswith(b"crc32="):
-        raise MalformedField(f"expected crc32 line, got {crc_line!r}")
-    crc_text = crc_line[len(b"crc32="):].decode("ascii", errors="replace")
-    if len(crc_text) != 8 or not all(c in "0123456789abcdef" for c in crc_text):
-        raise MalformedField(f"crc32 must be 8 lowercase hex digits, got {crc_text!r}")
-    recorded_crc = int(crc_text, 16)
     payload = b"\n".join(lines[:7]) + b"\n"
     actual_crc = binascii.crc32(payload)
-    if actual_crc != recorded_crc:
-        raise ChecksumMismatch(
-            f"payload CRC {actual_crc:08x} does not match recorded {recorded_crc:08x}"
-        )
-    # ValueError covers UnicodeDecodeError, ParseError and DomainError.  Keys,
-    # order and spelling of the fields are checked by re-encoding below.
+    # Where a trailer of the writer's form holds the CRC's eight digits.
+    at = len(payload) + _TRAILER.index(b"%")
+    # ValueError covers UnicodeDecodeError, ParseError and DomainError; any
+    # file that raises one is not the writer's.  The comparison at the end
+    # checks the keys, order and spelling of the fields and the trailer.
     try:
+        # After "0x" int() refuses a sign, which %08x would write back.
+        recorded_crc = int(b"0x" + data[at:at + 8], 16)
+        if recorded_crc != actual_crc and data == payload + _TRAILER % recorded_crc:
+            raise ChecksumMismatch(
+                f"payload CRC {actual_crc:08x} does not match recorded {recorded_crc:08x}"
+            )
         origin, steps, odd, even, peak, current = (
             raw.decode("ascii").partition("=")[2] for raw in lines[1:7]
         )
@@ -180,7 +183,7 @@ def checkpoint_read(path: str | os.PathLike) -> Checkpoint:
             origin=parse_expression(origin),
         )
     except ValueError as exc:
-        raise MalformedField(f"checkpoint fields do not form a state: {exc}") from None
-    if _payload(state) != payload:
-        raise MalformedField("checkpoint fields are not in the form the writer produces")
+        raise MalformedField(f"checkpoint is not a file the writer produces: {exc}") from None
+    if _payload(state) + _trailer(payload) != data:
+        raise MalformedField("checkpoint is not the file the writer produces for its fields")
     return Checkpoint(state)

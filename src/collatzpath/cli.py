@@ -34,8 +34,9 @@ pathlen has one run: it resumes the --checkpoint file when there is one
 (else starts at the expression's value) and calls advance until the value
 halts.  A plain run is one advance to the cycle guard; only a run that
 writes a checkpoint takes checkpoint-interval budgets, writing the file
-after each.  The state after B rule applications depends on B alone, so a
-checkpointed run prints what a plain one prints.
+before the first and after each, so an unwritable file fails the run
+before any stepping.  The state after B rule applications depends on B
+alone, so a checkpointed run prints what a plain one prints.
 """
 
 from __future__ import annotations
@@ -143,10 +144,14 @@ def _cmd_pathlen(args: argparse.Namespace, out: TextIO) -> int:
             )
     else:
         state = initial_state(expr.resolve(), origin=expr)
-    while not state.halted:
-        state = advance(state, interval, cycle_guard=args.cycle_guard)
+    # A checkpointed run writes its starting state first, so a file that
+    # cannot be written fails the run before any stepping.
+    while True:
         if args.checkpoint is not None:
             checkpoint_write(args.checkpoint, state)
+        if state.halted:
+            break
+        state = advance(state, interval, cycle_guard=args.cycle_guard)
     exponent = expr.mersenne_exponent()
     header = ["expr", "n", "d", "odd_steps", "even_steps", "peak_bit_length"]
     row = [

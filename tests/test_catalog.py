@@ -55,7 +55,7 @@ def test_recomputed_ranks_agree_by_both_routes_and_with_the_catalog():
     for row in rows:
         routes.setdefault(int(row["rank"]), {})[row["route"]] = row
     assert len(rows) == 2 * len(routes)
-    assert set(range(39, 44)) <= set(routes)
+    assert set(range(39, 48)) <= set(routes)
     fields = ("rank", "n", "d", "odd", "even", "peak")
     for rank, by_route in routes.items():
         assert sorted(by_route) == ["A", "B"], rank

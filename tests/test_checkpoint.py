@@ -167,6 +167,19 @@ def test_corrupted_payload_digit_fails_the_checksum(valid_file):
         checkpoint_read(path)
 
 
+def test_a_well_formed_crc_line_with_another_crc_is_a_checksum_mismatch(valid_file):
+    # The payload is intact; only the digits its crc32 line records differ.
+    path, _ = valid_file
+    good = path.read_bytes()
+    payload = good[: good.index(b"crc32=")]
+    actual = binascii.crc32(payload)
+    for recorded in (0, 0xFFFFFFFF, actual ^ 1):
+        path.write_bytes(payload + b"crc32=%08x\nEND\n" % recorded)
+        message = f"^payload CRC {actual:08x} does not match recorded {recorded:08x}$"
+        with pytest.raises(ChecksumMismatch, match=message):
+            checkpoint_read(path)
+
+
 def test_foreign_version_is_refused_before_anything_else(valid_file):
     # The header is read first, so a foreign layout is never called malformed.
     path, _ = valid_file
@@ -268,7 +281,9 @@ def test_peak_below_current_width_is_malformed(tmp_path):
 def test_bad_crc_formats_are_malformed(valid_file):
     path, _ = valid_file
     payload = b"\n".join(payload_lines(path)) + b"\n"
-    for crc_line in (b"crc32=XYZ", b"crc32=ABCDEF12", b"crc32=1234567", b"checksum=00000000"):
+    # int() reads "-abc1234" in base 16, but the writer never writes a sign.
+    bad = (b"crc32=XYZ", b"crc32=ABCDEF12", b"crc32=1234567", b"checksum=00000000", b"crc32=-abc1234")
+    for crc_line in bad:
         path.write_bytes(payload + crc_line + b"\nEND\n")
         with pytest.raises(MalformedField):
             checkpoint_read(path)
@@ -352,3 +367,23 @@ def test_an_edited_field_is_refused_or_round_trips(tmp_path_factory, line, at, i
     except MalformedField:
         return
     assert serialize_checkpoint(cp) == path.read_bytes()
+
+
+@given(
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.integers(0, GOLDEN.stat().st_size),
+    st.one_of(st.sampled_from(b"0123456789abcdefABCDEF=\n -+_xMCKPEND"), st.integers(0, 255)),
+)
+def test_a_one_byte_change_anywhere_is_refused_or_round_trips(tmp_path_factory, kind, at, byte):
+    # Header, fields, crc line, END and tail alike: a file either loads and
+    # re-serializes to its exact bytes or is refused with a checkpoint error.
+    good = GOLDEN.read_bytes()
+    at = min(at, len(good) - (kind != "insert"))
+    changed = good[:at] + bytes([byte]) * (kind != "delete") + good[at + (kind != "insert"):]
+    path = tmp_path_factory.mktemp("byte") / "run.ckpt"
+    path.write_bytes(changed)
+    try:
+        cp = checkpoint_read(path)
+    except (VersionUnsupported, ChecksumMismatch, MalformedField):
+        return
+    assert serialize_checkpoint(cp) == changed

@@ -641,6 +641,30 @@ def test_a_checkpoint_in_a_missing_directory_is_an_io_error_naming_the_file(tmp_
     assert not ckpt.parent.exists()
 
 
+def test_an_unwritable_checkpoint_fails_before_any_stepping(tmp_path, capsys, monkeypatch):
+    # The starting state is written before the first budget, so a missing
+    # directory costs no stepping, however short the path.
+    calls = []
+
+    def spy(state, budget, **kwargs):
+        calls.append(budget)
+        return advance(state, budget, **kwargs)
+
+    monkeypatch.setattr("collatzpath.cli.advance", spy)
+    ckpt = tmp_path / "missing" / "x.ckpt"
+    code, out, err = run_cli(capsys, "pathlen", "M44497", "--checkpoint", str(ckpt))
+    assert (code, out, calls) == (3, "", [])
+    assert len(err.splitlines()) == 1 and err.startswith("collatzpath: i/o error: ")
+
+
+def test_a_checkpointed_run_of_one_leaves_its_halted_state(tmp_path, capsys):
+    ckpt = tmp_path / "one.ckpt"
+    expected = (0, "expr,n,d,odd_steps,even_steps,peak_bit_length\n1,,0,0,0,1\n", "")
+    assert run_cli(capsys, "pathlen", "1", "--checkpoint", str(ckpt)) == expected
+    assert checkpoint_read(ckpt).to_state() == initial_state(1, origin=parse_expression("1"))
+    assert run_cli(capsys, "pathlen", "1", "--checkpoint", str(ckpt)) == expected
+
+
 def test_unresolvable_rank_is_a_runtime_failure(capsys):
     code, _, err = run_cli(capsys, "pathlen", "Mp48")
     assert code == 3
