@@ -238,9 +238,12 @@ def _leaf(low: int, k: int, track: bool, cap: int) -> tuple[int, int, int, int |
     k is a multiple of 8 and c counts the odd steps.  j is k when the k
     steps take at most cap rule applications, else the longest prefix
     whose j + c do.  The lookups go in rounds that must fit: a lookup takes
-    at most 16 rule applications, so a round of n steps takes at most 2n,
-    and a leaf whose k steps fit the cap is one round.  Single steps
-    follow while they fit, by _steps.
+    at most 16 rule applications, so a round of n steps takes at most 2n.
+    One rule sizes every round, the first included: n is the steps left
+    or half the rule applications left, the fewer, rounded down to a
+    multiple of 8, and the rounds end when n is 0.  A leaf whose k steps
+    fit the cap is one round.  Single steps follow while they fit, by
+    _steps.
     When track is set, the excursion is the largest c*log2(3) - i over the
     odd steps i, c counting the odd steps up to and including step i, in
     _FIX fixed point; it is -inf when untracked or when no step is odd.
@@ -250,10 +253,7 @@ def _leaf(low: int, k: int, track: bool, cap: int) -> tuple[int, int, int, int |
     y = low
     c = j = 0
     best = -math.inf
-    # Every leaf of a plain run is one round; the bound of a next round is
-    # worked out only while steps are left, so those leaves skip it.
-    n = k if 2 * k <= cap else cap >> 1 & -8
-    while n:
+    while n := min(k - j, cap - j - c >> 1) & -8:
         for i in range(j, j + n, 8):
             r = y & 255
             y = _T8_MUL[r] * (y >> 8) + _T8_TAIL[r]
@@ -261,7 +261,6 @@ def _leaf(low: int, k: int, track: bool, cap: int) -> tuple[int, int, int, int |
                 best = e
             c += _T8_ODD[r]
         j += n
-        n = j < k and min(k - j, cap - j - c >> 1) & -8
     if j < k:
         # Folded in as a lookup is, with the steps counted from j and c.
         y, c_tail, j_tail, e = _steps(y, k - j, cap - j - c)

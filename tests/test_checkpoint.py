@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import collatzpath.checkpoint as checkpoint_module
 from collatzpath import (
     Checkpoint,
     ChecksumMismatch,
@@ -77,6 +78,50 @@ def test_failed_write_cleans_up_its_temp_file(tmp_path):
         checkpoint_write(target, make_state())
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def test_a_checkpoint_is_durable_before_it_is_visible(tmp_path, monkeypatch):
+    # The temporary file is synced, every byte written, before it is renamed
+    # over the target; until then the target still holds the last checkpoint.
+    path = tmp_path / "run.ckpt"
+    checkpoint_write(path, make_state(steps=500))
+    before = path.read_bytes()
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        synced = os.fstat(fd)
+        calls.append(("fsync", synced.st_ino, synced.st_size))
+        assert path.read_bytes() == before
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", os.stat(src).st_ino, os.fspath(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(checkpoint_module.os, "fsync", fsync)
+    monkeypatch.setattr(checkpoint_module.os, "replace", replace)
+    data = serialize_checkpoint(checkpoint_write(path, make_state()))
+    [(first, synced, size), (second, renamed, target)] = calls
+    assert (first, second) == ("fsync", "replace")
+    assert (synced, size) == (renamed, len(data))
+    assert target == os.fspath(path)
+    assert path.read_bytes() == data
+
+
+def test_an_interrupted_sync_keeps_the_last_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "run.ckpt"
+    checkpoint_write(path, make_state(steps=500))
+    before = path.read_bytes()
+
+    def fsync(fd):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(checkpoint_module.os, "fsync", fsync)
+    with pytest.raises(KeyboardInterrupt):
+        checkpoint_write(path, make_state())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]
 
 
 def test_a_stale_temp_sibling_is_left_alone(tmp_path):

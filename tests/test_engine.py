@@ -1,6 +1,7 @@
 """Engine tests: the stepping kernel must agree with a naive stepper everywhere."""
 
 import math
+import random
 from decimal import Decimal, localcontext
 from unittest import mock
 
@@ -834,6 +835,22 @@ def test_a_near_tie_inside_a_capped_jump_replays_in_halves(above):
     assert_capped_near_tie_replays(x, 2 * (ones + 8))
 
 
+@pytest.mark.parametrize("offset", [-(1 << 60), -1, 0, 1, 1 << 60])
+def test_a_near_tie_below_the_peak_keeps_the_peak(offset):
+    # With a = 2**63 the float log2 is exact, so the estimate's fraction is
+    # the excursion's own: offset units of 2**-_FIX from the integer 37,
+    # inside _NEAR_INTEGER.  Either reading gives the bit length
+    # 63 + k + 37 + 1; a peak at or above it stays, one below it is replayed.
+    e = engine_module
+    assert abs(offset) / 2**e._FIX < e._NEAR_INTEGER
+    k = 1000
+    exc = (37 << e._FIX) + offset
+    tie = 63 + k + 37 + 1
+    assert e._peak_after(tie, 1 << 63, k, exc) == tie
+    assert e._peak_after(tie + 5, 1 << 63, k, exc) == tie + 5
+    assert e._peak_after(tie - 1, 1 << 63, k, exc) is None
+
+
 def test_a_budget_over_a_wide_value_is_one_capped_jump(rng):
     # A budget far below the value's width is one jump that stops where the
     # budget does, not a chain of halving jumps: at most two rule
@@ -929,3 +946,51 @@ def test_jump_past_the_ones_against_a_carried_peak(ones):
             got = advance(state, 2 * k)
             assert state_fields(got) == (value, steps, odd, even, max(carried, top))
     assert jump.called
+
+
+# The staircase: for odd n >= 3, 2**n - 1 climbs to 3**n - 1 = 2 (mod 8),
+# which halve, 3x+1, halve take to X = (3**(n+1) - 1) / 4, and 2**(n+1) - 1
+# climbs to 3**(n+1) - 1 = 0 (mod 8), which two halvings take to X.  So
+# D(2**(n+1) - 1) = D(2**n - 1) + 1, with the same odd count and one more
+# even step.  The two sides reach X by different moves and take different
+# jump widths from there, so the identity checks the kernel at sizes the
+# naive stepper cannot reach.  n = 1 is left out: 1 halts at once.
+# From n = 701 the climbed values are wide enough that the first jump
+# after the climb is wider than BLOCK.
+staircase_n = st.integers(350, 4000).map(lambda h: 2 * h + 1)
+
+
+def assert_one_step_up_the_staircase(low: tuple, high: tuple) -> None:
+    # (d, odd, even, peak) of 2**n - 1 and of 2**(n+1) - 1.
+    d, odd, even, _ = low
+    assert high[:3] == (d + 1, odd, even + 1)
+
+
+@settings(max_examples=40)
+@given(staircase_n)
+def test_the_staircase_at_odd_n(n):
+    assert (3**n).bit_length() - 64 >> 1 & -8 > BLOCK
+    assert_one_step_up_the_staircase(
+        result_fields(path_length(2**n - 1)), result_fields(path_length(2 ** (n + 1) - 1))
+    )
+
+
+def advance_to_one(x: int, seed: int) -> tuple[int, int, int, int]:
+    # Seeded budgets, below the 16 that a jump needs or up to a few leaves
+    # wide, so moves are cut anywhere; (steps, odd, even, peak) at 1.
+    budgets = random.Random(seed)
+    state = initial_state(x)
+    while not state.halted:
+        wide = budgets.random() < 0.8
+        state = advance(state, budgets.randrange(*((16, 4 * BLOCK) if wide else (1, 16))))
+    return state_fields(state)[1:]
+
+
+@settings(max_examples=10)
+@given(staircase_n, st.integers(0, 2**32))
+def test_the_staircase_through_advance_in_budgets(n, seed):
+    low = advance_to_one(2**n - 1, seed)
+    high = advance_to_one(2 ** (n + 1) - 1, seed)
+    assert low == result_fields(path_length(2**n - 1))
+    assert high == result_fields(path_length(2 ** (n + 1) - 1))
+    assert_one_step_up_the_staircase(low, high)
