@@ -207,9 +207,8 @@ def lucas_lehmer(p: int) -> bool:
     m = mersenne_number(p)
     s = 4
     for _ in range(p - 2):
-        s = s * s - 2
-        if s < 0:
-            s += m
+        # m > 2 keeps s * s + m - 2 non-negative; it is s * s - 2 (mod m).
+        s = s * s + m - 2
         s = (s & m) + (s >> p)
         while s >= m:
             s -= m

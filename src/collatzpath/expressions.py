@@ -10,6 +10,8 @@ Users name a start value without materializing its digits:
 
 No whitespace, no signs, ASCII digits only.  Parse failures carry the
 offset of the first offending character and what was expected there.
+Each kind's spelling is written once, in _PREFIX: the parser, canonical()
+and the default source_text all read it from there.
 
 The decimal form is the package's one grammar for a number typed as
 text: parse_decimal reads a whole string in it, and the command line reads
@@ -55,6 +57,15 @@ class ExpressionKind(str, Enum):
     MERSENNE_BY_RANK = "mersenne_by_rank"
 
 
+# Longest first, so the parser tries "Mp" before "M"; "" matches any text.
+_PREFIX = {
+    ExpressionKind.MERSENNE_BY_RANK: "Mp",
+    ExpressionKind.MERSENNE_BY_EXPONENT: "M",
+    ExpressionKind.POWER_OF_TWO: "2^",
+    ExpressionKind.DECIMAL: "",
+}
+
+
 class NumberExpression(Record):
     """A parsed input expression.
 
@@ -67,23 +78,15 @@ class NumberExpression(Record):
     def __init__(self, kind: ExpressionKind, parameter: int, source_text: str = "") -> None:
         if not isinstance(kind, ExpressionKind):
             raise DomainError(f"kind must be an ExpressionKind, got {kind!r}")
-        self._set_fields(kind, checked_int(parameter, "parameter", 0), source_text)
-        if not source_text:
-            object.__setattr__(self, "source_text", self.canonical())
+        parameter = checked_int(parameter, "parameter", 0)
+        self._set_fields(kind, parameter, source_text or _PREFIX[kind] + decimal_text(parameter))
 
     def _key(self) -> tuple:
         return self.kind, self.parameter
 
     def canonical(self) -> str:
         """The shortest spelling; re-parsing it yields an equal expression."""
-        digits = decimal_text(self.parameter)
-        if self.kind is ExpressionKind.DECIMAL:
-            return digits
-        if self.kind is ExpressionKind.POWER_OF_TWO:
-            return "2^" + digits
-        if self.kind is ExpressionKind.MERSENNE_BY_EXPONENT:
-            return "M" + digits
-        return "Mp" + digits
+        return _PREFIX[self.kind] + decimal_text(self.parameter)
 
     def mersenne_exponent(self) -> int | None:
         """The exponent n when this names 2**n - 1, else None."""
@@ -105,9 +108,7 @@ class NumberExpression(Record):
             return self.parameter
         if self.kind is ExpressionKind.POWER_OF_TWO:
             return 1 << checked_exponent(self.parameter, "n")
-        if self.kind is ExpressionKind.MERSENNE_BY_EXPONENT:
-            return mersenne_number(self.parameter)
-        return mersenne_number(catalog_entry(self.parameter).exponent)
+        return mersenne_number(self.mersenne_exponent())
 
 
 _DECIMAL = re.compile("[0-9](?:_?[0-9])*")
@@ -151,26 +152,13 @@ def parse_expression(text: str) -> NumberExpression:
         raise DomainError(f"text must be a string, got {type(text).__name__}")
     if not text:
         raise ParseError(text, 0, "a number expression")
-    tail_expected = "end of input"
-    if text.startswith("Mp"):
-        value, end = _scan_decimal(text, 2)
-        kind = ExpressionKind.MERSENNE_BY_RANK
-    elif text[0] == "M":
-        value, end = _scan_decimal(text, 1)
-        kind = ExpressionKind.MERSENNE_BY_EXPONENT
-    elif text.startswith("2^"):
-        value, end = _scan_decimal(text, 2)
-        if text[end : end + 2] == "-1":
-            kind = ExpressionKind.MERSENNE_BY_EXPONENT
-            end += 2
-        else:
-            kind = ExpressionKind.POWER_OF_TWO
-            tail_expected = "'-1' or end of input"
-    elif "0" <= text[0] <= "9":
-        value, end = _scan_decimal(text, 0)
-        kind = ExpressionKind.DECIMAL
-    else:
+    kind = next(kind for kind, prefix in _PREFIX.items() if text.startswith(prefix))
+    if kind is ExpressionKind.DECIMAL and not "0" <= text[0] <= "9":
         raise ParseError(text, 0, "a digit, 'M', 'Mp', or '2^'")
+    value, end = _scan_decimal(text, len(_PREFIX[kind]))
+    if kind is ExpressionKind.POWER_OF_TWO and text[end : end + 2] == "-1":
+        kind, end = ExpressionKind.MERSENNE_BY_EXPONENT, end + 2
     if end != len(text):
-        raise ParseError(text, end, tail_expected)
+        expected = "'-1' or end of input" if kind is ExpressionKind.POWER_OF_TWO else "end of input"
+        raise ParseError(text, end, expected)
     return NumberExpression(kind=kind, parameter=value, source_text=text)

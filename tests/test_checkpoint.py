@@ -124,6 +124,27 @@ def test_an_interrupted_sync_keeps_the_last_checkpoint(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]
 
 
+def test_a_failed_sync_whose_cleanup_fails_raises_the_sync_error(tmp_path, monkeypatch):
+    path = tmp_path / "run.ckpt"
+    checkpoint_write(path, make_state(steps=500))
+    before = path.read_bytes()
+
+    def fsync(fd):
+        raise OSError("fsync failed")
+
+    def unlink(name):
+        raise OSError("unlink failed")
+
+    monkeypatch.setattr(checkpoint_module.os, "fsync", fsync)
+    monkeypatch.setattr(checkpoint_module.os, "unlink", unlink)
+    with pytest.raises(OSError, match="fsync failed"):
+        checkpoint_write(path, make_state())
+    assert path.read_bytes() == before
+    # The temporary sibling that could not be removed stays beside it.
+    [tmp] = tmp_path.glob("run.ckpt.*.tmp")
+    assert sorted(tmp_path.iterdir()) == sorted([path, tmp])
+
+
 def test_a_stale_temp_sibling_is_left_alone(tmp_path):
     # A temporary file an earlier, killed write left behind does not stop
     # the next write, which creates its own with mode 0600.

@@ -245,6 +245,13 @@ def test_jobs_change_no_output(capsys, argv):
         assert run_cli(capsys, *argv, "--jobs", jobs) == serial
 
 
+@pytest.mark.parametrize("cpu_count, jobs", [(None, 1), (3, 3)])
+def test_jobs_default_without_an_affinity_mask(monkeypatch, cpu_count, jobs):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert build_parser().parse_args(["verify", "--ranks", "1..2"]).jobs == jobs
+
+
 def test_a_guard_trip_crosses_the_fan_out_intact(capsys):
     code, out, err = run_cli(capsys, *JOBS_INVARIANT["guard"], "--jobs", "2")
     assert code == 3

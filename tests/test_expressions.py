@@ -88,6 +88,38 @@ def test_parse_decimal_reads_what_int_reads(groups):
     assert parse_decimal(text) == int(text)
 
 
+# Each kind's spelling, written here apart from the module's own table.
+SPELLINGS = {
+    ExpressionKind.DECIMAL: "",
+    ExpressionKind.POWER_OF_TWO: "2^",
+    ExpressionKind.MERSENNE_BY_EXPONENT: "M",
+    ExpressionKind.MERSENNE_BY_RANK: "Mp",
+}
+
+
+@given(st.sampled_from(list(SPELLINGS)), DIGIT_GROUPS, st.booleans())
+def test_every_spelling_parses_and_round_trips(kind, groups, minus_one):
+    digits = "_".join(groups)
+    text = SPELLINGS[kind] + digits
+    if kind is ExpressionKind.POWER_OF_TWO and minus_one:
+        text += "-1"
+        kind = ExpressionKind.MERSENNE_BY_EXPONENT
+    expr = parse_expression(text)
+    assert (expr.kind, expr.parameter, expr.source_text) == (kind, int(digits), text)
+    canonical = SPELLINGS[kind] + str(int(digits))
+    assert expr.canonical() == canonical
+    assert NumberExpression(kind, int(digits)).source_text == canonical
+    again = parse_expression(canonical)
+    assert (again, again.source_text) == (expr, canonical)
+
+
+@given(st.characters().filter(lambda c: c not in "0123456789M"), st.text(max_size=8))
+def test_a_text_opening_with_no_spelling_fails_at_offset_0(first, rest):
+    with pytest.raises(ParseError) as excinfo:
+        parse_expression(first + rest)
+    assert (excinfo.value.offset, excinfo.value.expected) == (0, "a digit, 'M', 'Mp', or '2^'")
+
+
 # int() reads all of these but the superscript two.
 NOT_DECIMAL = ["²", "١", "５", " ", "\t", "\n", "+", "-"]
 
