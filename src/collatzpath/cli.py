@@ -53,7 +53,7 @@ from .expressions import decimal_text, parse_decimal, parse_expression
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterable, TextIO
+    from typing import Iterable
 
 DEFAULT_CHECKPOINT_INTERVAL = 10**7
 
@@ -100,10 +100,10 @@ def _bool_cell(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _write_table(args: argparse.Namespace, out: TextIO, header: list, rows: Iterable[list]) -> None:
+def _write_table(args: argparse.Namespace, header: list, rows: Iterable[list]) -> None:
     # rows may be a generator: the rows before a failing one print before its error.
     delimiter = "\t" if args.format == "tsv" else ","
-    w = csv_writer(out, delimiter=delimiter, lineterminator="\n", quoting=QUOTE_MINIMAL)
+    w = csv_writer(sys.stdout, delimiter=delimiter, lineterminator="\n", quoting=QUOTE_MINIMAL)
     w.writerow(header)
     w.writerows(rows)
 
@@ -122,7 +122,7 @@ def parse_rank_range(text: str) -> tuple[int, int]:
     return low, high
 
 
-def _cmd_pathlen(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_pathlen(args: argparse.Namespace) -> int:
     if args.checkpoint == "":
         raise _UsageError("--checkpoint needs a file name")
     if args.checkpoint is None and args.checkpoint_interval is not None:
@@ -166,25 +166,25 @@ def _cmd_pathlen(args: argparse.Namespace, out: TextIO) -> int:
         entries = trace(expr.resolve(), args.trace_limit, cycle_guard=args.cycle_guard)
         header.append("trace")
         row.append(" ".join(decimal_text(v) for v in entries))
-    _write_table(args, out, header, [row])
+    _write_table(args, header, [row])
     return EXIT_OK
 
 
-def _cmd_catalog(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_catalog(args: argparse.Namespace) -> int:
     if args.format is not None and not args.csv:
         raise _UsageError(f"--format {args.format} needs --csv")
     entries = catalog_entries()
     if args.csv:
-        _write_table(args, out, ["rank", "exponent", "reference_d", "reference_ratio"],
+        _write_table(args, ["rank", "exponent", "reference_d", "reference_ratio"],
                      ([e.rank, e.exponent, e.reference_d, e.reference_ratio] for e in entries))
         return EXIT_OK
-    print(f"{'rank':>4}  {'exponent':>10}  {'reference_d':>12}  {'reference_ratio':>15}", file=out)
+    print(f"{'rank':>4}  {'exponent':>10}  {'reference_d':>12}  {'reference_ratio':>15}")
     for e in entries:
-        print(f"{e.rank:>4}  {e.exponent:>10}  {e.reference_d:>12}  {e.reference_ratio:>15}", file=out)
+        print(f"{e.rank:>4}  {e.exponent:>10}  {e.reference_d:>12}  {e.reference_ratio:>15}")
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     from .survey import mersenne_path_lengths
 
     entries = catalog_entries(*parse_rank_range(args.ranks))
@@ -196,11 +196,11 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
             matches.append(computed == entry.reference_d)
             yield [entry.rank, entry.exponent, entry.reference_d, computed, _bool_cell(matches[-1])]
 
-    _write_table(args, out, ["rank", "exponent", "reference_d", "computed_d", "match"], rows())
+    _write_table(args, ["rank", "exponent", "reference_d", "computed_d", "match"], rows())
     return EXIT_OK if all(matches) else EXIT_MISMATCH
 
 
-def _cmd_scan(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_scan(args: argparse.Namespace) -> int:
     from .survey import scan_ratios
 
     records = scan_ratios(
@@ -211,12 +211,12 @@ def _cmd_scan(args: argparse.Namespace, out: TextIO) -> int:
         jobs=args.jobs,
         cycle_guard=args.cycle_guard,
     )
-    _write_table(args, out, ["n", "is_prime", "d", "ratio"],
+    _write_table(args, ["n", "is_prime", "d", "ratio"],
                  ([r.exponent, _bool_cell(r.is_prime_index), r.d, r.ratio] for r in records))
     return EXIT_OK
 
 
-def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_stats(args: argparse.Namespace) -> int:
     from .survey import index_set, mersenne_path_lengths, ratio_stats, reference_d
 
     try:
@@ -240,29 +240,29 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
         d_values = mersenne_path_lengths(rows.indices, args.jobs, args.cycle_guard)
         pairs = list(zip(rows.indices, d_values))
     stats = ratio_stats(pairs)
-    _write_table(args, out, ["label", "count", "mean", "sample_variance"],
+    _write_table(args, ["label", "count", "mean", "sample_variance"],
                  [[rows.label.value, stats.count, stats.mean, stats.sample_variance]])
     return EXIT_OK
 
 
-def _cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_fit(args: argparse.Namespace) -> int:
     from .heuristics import fit_loglog
 
     result = fit_loglog([(e.rank, e.exponent) for e in catalog_entries()])
-    _write_table(args, out, ["intercept", "slope", "rms_residual"],
+    _write_table(args, ["intercept", "slope", "rms_residual"],
                  [[result.intercept, result.slope, result.rms_residual]])
     return EXIT_OK
 
 
-def _cmd_heuristic(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_heuristic(args: argparse.Namespace) -> int:
     from .heuristics import mersenne_heuristic
 
-    _write_table(args, out, ["n", "estimate"], [[args.n, mersenne_heuristic(args.n)]])
+    _write_table(args, ["n", "estimate"], [[args.n, mersenne_heuristic(args.n)]])
     return EXIT_OK
 
 
-def _cmd_lucas_lehmer(args: argparse.Namespace, out: TextIO) -> int:
-    _write_table(args, out, ["p", "mersenne_prime"], [[args.p, _bool_cell(lucas_lehmer(args.p))]])
+def _cmd_lucas_lehmer(args: argparse.Namespace) -> int:
+    _write_table(args, ["p", "mersenne_prime"], [[args.p, _bool_cell(lucas_lehmer(args.p))]])
     return EXIT_OK
 
 
@@ -351,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        code = args.handler(args, sys.stdout)
+        code = args.handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

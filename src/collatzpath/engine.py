@@ -192,8 +192,12 @@ class IterationState(Record):
         origin: NumberExpression | None = None,
     ) -> None:
         current = checked_int(current, "current", 1)
+        steps = checked_int(steps, "steps")
+        odd_steps = checked_int(odd_steps, "odd_steps")
+        even_steps = checked_int(even_steps, "even_steps")
         if peak_bit_length is None:
             peak_bit_length = current.bit_length()
+        peak_bit_length = checked_int(peak_bit_length, "peak_bit_length")
         self._set_fields(current, steps, odd_steps, even_steps, peak_bit_length, origin)
         if steps != odd_steps + even_steps:
             raise DomainError("steps must equal odd_steps + even_steps")

@@ -236,35 +236,30 @@ def _exit_at_eof(fd: int) -> None:
     os._exit(1)
 
 
-def _compute_share(
-    exponents: Sequence[int], cycle_guard: int, fd: int, lifeline: int, inherited: Sequence[int]
-) -> None:
-    """The body of a forked child: one pickled (ok, value) record to the
-    pipe fd for each of exponents, in order.  A row that raises sends the
-    exception as its record and ends the share.  The child first closes
-    the inherited descriptors it does not use, then leaves as soon as the
-    lifeline reads EOF, even in the middle of a row, so it never outlives
-    its parent.  The child always leaves by os._exit, so it never flushes
-    stdio buffers copied from its parent and never returns into the caller.
+def _compute_share(exponents: Sequence[int], cycle_guard: int, fd: int, lifeline: int) -> None:
+    """The body of a forked child: one pickled record to the pipe fd for
+    each of exponents, in order.  A record is the row's D, or the
+    exception the row raised, which ends the share.  The child leaves as
+    soon as the lifeline reads EOF, even in the middle of a row, so it
+    never outlives its parent.  The child always leaves by os._exit, so it
+    never flushes stdio buffers copied from its parent and never returns
+    into the caller.
     """
     status = 1
     try:
         import pickle
         import threading
 
-        for unused in inherited:
-            os.close(unused)
         threading.Thread(target=_exit_at_eof, args=(lifeline,), daemon=True).start()
         with os.fdopen(fd, "wb") as pipe:
             for n in exponents:
                 try:
-                    record = (True, _mersenne_d(n, cycle_guard))
+                    d = _mersenne_d(n, cycle_guard)
                 except Exception as exc:
-                    record = (False, exc)
-                pipe.write(pickle.dumps(record))
-                pipe.flush()
-                if not record[0]:
+                    pipe.write(pickle.dumps(exc))
                     break
+                pipe.write(pickle.dumps(d))
+                pipe.flush()
         status = 0
     finally:
         os._exit(status)
@@ -308,15 +303,15 @@ def mersenne_path_lengths(exponents: Sequence[int], jobs: int, cycle_guard: int)
                 os.close(write_fd)
                 raise
             if pid == 0:
-                inherited = [lifeline_write, read_fd]
-                inherited += [pipe.fileno() for _, pipe in children.values()]
-                _compute_share(exponents[share::shares], cycle_guard, write_fd, lifeline, inherited)
+                # The lifeline reads EOF only once no child holds its write end.
+                os.close(lifeline_write)
+                _compute_share(exponents[share::shares], cycle_guard, write_fd, lifeline)
             os.close(write_fd)
             children[share] = (pid, os.fdopen(read_fd, "rb"))
         for i, n in enumerate(exponents):
             pid, pipe = children[i % shares]
             try:
-                ok, value = pickle.load(pipe)
+                value = pickle.load(pipe)
             except EOFError:
                 pipe.close()
                 del children[i % shares]
@@ -325,7 +320,7 @@ def mersenne_path_lengths(exponents: Sequence[int], jobs: int, cycle_guard: int)
                     f"the process computing n={int_text(n, 'exponent')} ended without "
                     f"a result (exit status {os.waitstatus_to_exitcode(status)})"
                 ) from None
-            if not ok:
+            if isinstance(value, Exception):
                 raise value
             yield value
     finally:

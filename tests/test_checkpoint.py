@@ -195,6 +195,35 @@ def test_origin_spelling_is_preserved_verbatim(tmp_path):
     assert serialize_checkpoint(cp) == data
 
 
+class Index:
+    """An integer only through __index__, as a numpy integer is."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_a_state_built_from_index_counters_reads_back_unchanged(tmp_path):
+    # A counter kept as given would be written as something other than its
+    # digits, in a file the reader refuses.
+    origin = parse_expression("27")
+    expected = advance(initial_state(27, origin=origin), 10)
+    state = IterationState(
+        expected.current,
+        steps=Index(expected.steps),
+        odd_steps=Index(expected.odd_steps),
+        even_steps=Index(expected.even_steps),
+        peak_bit_length=Index(expected.peak_bit_length),
+        origin=origin,
+    )
+    assert state == expected
+    path = tmp_path / "index.ckpt"
+    checkpoint_write(path, state)
+    assert checkpoint_read(path).to_state() == expected
+
+
 def test_checkpoint_requires_an_origin():
     anonymous = advance(initial_state(127), 5)
     with pytest.raises(DomainError):

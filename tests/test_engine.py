@@ -460,6 +460,22 @@ def test_state_and_result_validation():
         PathResult(d=-1, odd_steps=-1, even_steps=0, peak_bit_length=1)
 
 
+@pytest.mark.parametrize(
+    "field, fields",
+    [
+        ("steps", dict(steps=1.5, odd_steps=1.5, even_steps=0)),
+        ("odd_steps", dict(steps=2, odd_steps=1.5, even_steps=0.5)),
+        ("even_steps", dict(steps=2, odd_steps=1, even_steps=1.0)),
+        ("peak_bit_length", dict(peak_bit_length=5.5)),
+    ],
+)
+def test_each_state_counter_must_be_an_integer(field, fields):
+    # Each case breaks only its own field once the fields before it pass,
+    # so the error names that field.
+    with pytest.raises(DomainError, match=f"^{field} must be an integer, got float$"):
+        IterationState(27, origin=parse_expression("27"), **fields)
+
+
 def test_path_length_matches_naive_wide_random(rng):
     for _ in range(3):
         x = rng.getrandbits(5000) | (1 << 5000) | 1

@@ -1,5 +1,6 @@
 """The fan-out behind --jobs: survey.mersenne_path_lengths over forked shares."""
 
+import errno
 import os
 import signal
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import given, strategies as st
 import collatzpath
 from collatzpath import CollatzPathError, CycleGuardExceeded, mersenne_number, path_length
 from collatzpath import survey
+from collatzpath.cli import main
 from collatzpath.survey import mersenne_path_lengths
 
 GUARD = 10**12
@@ -182,6 +184,40 @@ def test_a_child_that_dies_without_a_result_is_an_error(monkeypatch):
     assert next(generator) == serial([100])[0]
     with pytest.raises(CollatzPathError, match=r"^the process computing n=50 .*exit status 7\)$"):
         next(generator)
+    assert_no_children()
+
+
+@pytest.fixture
+def second_fork_fails(monkeypatch):
+    # The first share forks for real; forking the second runs out of processes.
+    real = os.fork
+    calls = []
+
+    def fork():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/fd"), reason="lists descriptors in /proc")
+def test_a_failed_fork_leaves_no_child_and_no_descriptor(second_fork_fails):
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError) as excinfo:
+        list(mersenne_path_lengths([89, 107, 127], 3, GUARD))
+    assert excinfo.value.errno == errno.EAGAIN
+    assert_no_children()
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+def test_a_failed_fork_is_one_io_error_line_after_the_header(second_fork_fails, capsys):
+    code = main(["verify", "--ranks", "1..5", "--jobs", "3"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == "rank,exponent,reference_d,computed_d,match\n"
+    assert err.startswith("collatzpath: i/o error: ") and err.count("\n") == 1
     assert_no_children()
 
 

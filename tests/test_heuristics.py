@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import collatzpath.heuristics as heuristics_module
 from collatzpath import (
     C0,
     MERSENNE_SLOPE,
@@ -71,6 +72,22 @@ def test_transit_lemma_explicit_small_cases():
 def test_transit_lemma_range():
     for n in range(1, 61):
         assert verify_transit_lemma(n), n
+
+
+@pytest.mark.parametrize("off_call", [1, 2], ids=["landmark", "end"])
+def test_transit_lemma_fails_when_one_stretch_takes_an_extra_step(monkeypatch, off_call):
+    # The first call reaches the landmark and the second the end; a wrong
+    # landmark fails before the second call.
+    real = heuristics_module.raw_advance
+    calls = []
+
+    def off_by_one(state, steps):
+        calls.append(steps)
+        return real(state, steps + (len(calls) == off_call))
+
+    monkeypatch.setattr(heuristics_module, "raw_advance", off_by_one)
+    assert verify_transit_lemma(10) is False
+    assert len(calls) == off_call
 
 
 def test_transit_lemma_domain():

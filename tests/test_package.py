@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +85,37 @@ def test_no_module_of_the_package_loads_dataclasses_or_typing():
     assert {f"collatzpath.{name}" for name in MODULES} <= loaded
     assert "dataclasses" not in loaded
     assert "typing" not in loaded
+
+
+def package_process(*argv):
+    package_root = os.path.dirname(os.path.dirname(collatzpath.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=60)
+
+
+def test_the_cli_module_runs_as_the_package_does():
+    by_module = package_process("-m", "collatzpath.cli", "catalog", "--csv")
+    by_package = package_process("-m", "collatzpath", "catalog", "--csv")
+    assert by_module.returncode == by_package.returncode == 0
+    assert by_module.stdout == by_package.stdout
+    assert by_module.stdout.startswith(b"rank,exponent,reference_d,reference_ratio\n")
+
+
+CODE_LINES = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+
+
+def test_code_lines_counts_only_the_lines_that_hold_code(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""A module docstring\nover two lines."""\n'
+        "# a comment\n"
+        "\n"
+        "def double(x):\n"
+        '    """A function docstring."""\n'
+        "    return (x +\n"
+        "            x)  # a comment after code\n"
+    )
+    done = subprocess.run([sys.executable, str(CODE_LINES), str(source)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["3", str(source)]
