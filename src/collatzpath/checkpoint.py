@@ -18,8 +18,10 @@ every byte above it, newlines included.  The writer alone defines the
 format: the reader rebuilds the state from the fields and accepts the
 file only when writing that state again gives back its exact bytes, so
 every file read re-serializes byte-identically.  The origin is stored
-exactly as the user wrote it.  Writes go to a temporary sibling and are
-renamed into place, so a reader never observes a partial file.
+exactly as the user wrote it; a NumberExpression's spelling always parses
+back to it, so the one origin rule left here is that a checkpointed state
+has an origin.  Writes go to a temporary sibling and are renamed into
+place, so a reader never observes a partial file.
 """
 
 from __future__ import annotations
@@ -28,15 +30,8 @@ import binascii
 import os
 
 from .engine import IterationState
-from .errors import (
-    ChecksumMismatch,
-    DomainError,
-    MalformedField,
-    ParseError,
-    Record,
-    VersionUnsupported,
-)
-from .expressions import NumberExpression, parse_expression
+from .errors import ChecksumMismatch, DomainError, MalformedField, Record, VersionUnsupported
+from .expressions import parse_expression
 
 CHECKPOINT_VERSION = 1
 
@@ -46,24 +41,18 @@ _TRAILER = b"crc32=%08x\nEND\n"
 
 
 class Checkpoint(Record):
-    """The engine state one checkpoint file froze; it carries an origin."""
+    """The engine state one checkpoint file froze.
+
+    Raises DomainError for a state without an origin.  Every origin's
+    spelling parses back to it, so the reader resumes the same run.
+    """
 
     __slots__ = ("state",)
 
     def __init__(self, state: IterationState) -> None:
         self._set_fields(state)
-        origin = state.origin
-        if not isinstance(origin, NumberExpression):
+        if state.origin is None:
             raise DomainError("checkpointing requires a state with an origin expression")
-        # The file stores source_text, and the reader re-parses it.
-        try:
-            same = parse_expression(origin.source_text) == origin
-        except ParseError:
-            same = False
-        if not same:
-            raise DomainError(
-                f"origin text {origin.source_text!r} does not parse back to {origin.canonical()}"
-            )
 
     def to_state(self) -> IterationState:
         """Rebuild the engine state this checkpoint froze."""

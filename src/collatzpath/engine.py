@@ -90,10 +90,7 @@ from __future__ import annotations
 import math
 
 from .errors import CycleGuardExceeded, DomainError, Record, checked_int, int_text
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .expressions import NumberExpression
+from .expressions import NumberExpression
 
 DEFAULT_CYCLE_GUARD = 10**12
 
@@ -162,22 +159,24 @@ class PathResult(Record):
     __slots__ = ("d", "odd_steps", "even_steps", "peak_bit_length")
 
     def __init__(self, d: int, odd_steps: int, even_steps: int, peak_bit_length: int) -> None:
+        d = checked_int(d, "d", 0)
+        odd_steps = checked_int(odd_steps, "odd_steps", 0)
+        even_steps = checked_int(even_steps, "even_steps", 0)
+        peak_bit_length = checked_int(peak_bit_length, "peak_bit_length", 0)
         self._set_fields(d, odd_steps, even_steps, peak_bit_length)
         if d != odd_steps + even_steps:
             raise DomainError("d must equal odd_steps + even_steps")
-        if min(d, odd_steps, even_steps, peak_bit_length) < 0:
-            raise DomainError("path result fields must be non-negative")
 
 
 class IterationState(Record):
     """Resumable snapshot of a single iteration.
 
     current is the value reached so far; the step counters say how it got
-    there.  origin optionally records the expression the run was started
+    there.  origin is None or the NumberExpression the run was started
     from, which checkpointing uses to refuse resumes against the wrong
-    input.  peak_bit_length defaults to the bit length of current, so
-    IterationState(x) is the fresh state at x.  States are immutable;
-    advancing returns a new state.
+    input; any other origin raises DomainError.  peak_bit_length defaults
+    to the bit length of current, so IterationState(x) is the fresh state
+    at x.  States are immutable; advancing returns a new state.
     """
 
     __slots__ = ("current", "steps", "odd_steps", "even_steps", "peak_bit_length", "origin")
@@ -193,16 +192,16 @@ class IterationState(Record):
     ) -> None:
         current = checked_int(current, "current", 1)
         steps = checked_int(steps, "steps")
-        odd_steps = checked_int(odd_steps, "odd_steps")
-        even_steps = checked_int(even_steps, "even_steps")
+        odd_steps = checked_int(odd_steps, "odd_steps", 0)
+        even_steps = checked_int(even_steps, "even_steps", 0)
         if peak_bit_length is None:
             peak_bit_length = current.bit_length()
         peak_bit_length = checked_int(peak_bit_length, "peak_bit_length")
+        if origin is not None and not isinstance(origin, NumberExpression):
+            raise DomainError(f"origin must be a NumberExpression, got {type(origin).__name__}")
         self._set_fields(current, steps, odd_steps, even_steps, peak_bit_length, origin)
         if steps != odd_steps + even_steps:
             raise DomainError("steps must equal odd_steps + even_steps")
-        if min(odd_steps, even_steps) < 0:
-            raise DomainError("step counters must be non-negative")
         if peak_bit_length < current.bit_length():
             raise DomainError("peak_bit_length cannot be below bit_length(current)")
 

@@ -11,7 +11,9 @@ Users name a start value without materializing its digits:
 No whitespace, no signs, ASCII digits only.  Parse failures carry the
 offset of the first offending character and what was expected there.
 Each kind's spelling is written once, in _PREFIX: the parser, canonical()
-and the default source_text all read it from there.
+and the default source_text all read it from there.  An expression's
+source_text always parses back to it, so a checkpoint can store the
+spelling and its reader rebuild the same expression.
 
 The decimal form is the package's one grammar for a number typed as
 text: parse_decimal reads a whole string in it, and the command line reads
@@ -70,7 +72,10 @@ class NumberExpression(Record):
     """A parsed input expression.
 
     Equality and hashing use (kind, parameter) only, so "2^13-1" and "M13"
-    compare equal; source_text preserves what was actually written.
+    compare equal; source_text preserves what was actually written.  A
+    given source_text must parse back to this expression: text that does
+    not parse raises ParseError, and text naming another expression raises
+    DomainError.  An empty one defaults to the canonical spelling.
     """
 
     __slots__ = ("kind", "parameter", "source_text")
@@ -80,6 +85,8 @@ class NumberExpression(Record):
             raise DomainError(f"kind must be an ExpressionKind, got {kind!r}")
         parameter = checked_int(parameter, "parameter", 0)
         self._set_fields(kind, parameter, source_text or _PREFIX[kind] + decimal_text(parameter))
+        if source_text != "" and _parse(source_text) != (kind, parameter):
+            raise DomainError(f"text {source_text!r} does not parse back to {self.canonical()}")
 
     def _key(self) -> tuple:
         return self.kind, self.parameter
@@ -148,6 +155,11 @@ def parse_expression(text: str) -> NumberExpression:
 
     Grammar: DEC | "2^" DEC | "2^" DEC "-1" | "M" DEC | "Mp" DEC.
     """
+    return NumberExpression(*_parse(text), text)
+
+
+def _parse(text: str) -> tuple[ExpressionKind, int]:
+    """The (kind, parameter) that one whole expression names."""
     if not isinstance(text, str):
         raise DomainError(f"text must be a string, got {type(text).__name__}")
     if not text:
@@ -161,4 +173,4 @@ def parse_expression(text: str) -> NumberExpression:
     if end != len(text):
         expected = "'-1' or end of input" if kind is ExpressionKind.POWER_OF_TWO else "end of input"
         raise ParseError(text, end, expected)
-    return NumberExpression(kind=kind, parameter=value, source_text=text)
+    return kind, value

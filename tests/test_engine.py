@@ -476,6 +476,21 @@ def test_each_state_counter_must_be_an_integer(field, fields):
         IterationState(27, origin=parse_expression("27"), **fields)
 
 
+@pytest.mark.parametrize("origin", ["27", 27, object()], ids=["str", "int", "object"])
+def test_an_origin_must_be_an_expression(origin):
+    with pytest.raises(DomainError, match="^origin must be a NumberExpression, got "):
+        IterationState(27, origin=origin)
+
+
+@pytest.mark.parametrize("bad", [1.0, "1"])
+@pytest.mark.parametrize("field", ["d", "odd_steps", "even_steps", "peak_bit_length"])
+def test_each_result_counter_must_be_an_integer(field, bad):
+    fields = dict(d=1, odd_steps=0, even_steps=1, peak_bit_length=1)
+    fields[field] = bad
+    with pytest.raises(DomainError, match=f"^{field} must be an integer, got {type(bad).__name__}$"):
+        PathResult(**fields)
+
+
 def test_path_length_matches_naive_wide_random(rng):
     for _ in range(3):
         x = rng.getrandbits(5000) | (1 << 5000) | 1

@@ -109,8 +109,39 @@ def test_every_spelling_parses_and_round_trips(kind, groups, minus_one):
     canonical = SPELLINGS[kind] + str(int(digits))
     assert expr.canonical() == canonical
     assert NumberExpression(kind, int(digits)).source_text == canonical
+    given_text = NumberExpression(kind, int(digits), text)
+    assert (given_text, given_text.source_text) == (expr, text)
     again = parse_expression(canonical)
     assert (again, again.source_text) == (expr, canonical)
+
+
+# Spellings that parse but name another expression: another number, another
+# kind, and a parameter past str()'s 4300-digit limit, which the message
+# names by canonical() all the same.
+ANOTHER = [
+    (ExpressionKind.MERSENNE_BY_EXPONENT, 89, "M90"),
+    (ExpressionKind.MERSENNE_BY_EXPONENT, 13, "Mp13"),
+    (ExpressionKind.POWER_OF_TWO, 13, "2^13-1"),
+    (ExpressionKind.DECIMAL, 10**5000, "1" + "0" * 4999),
+]
+
+
+@pytest.mark.parametrize("kind, parameter, spelling", ANOTHER, ids=["M90", "Mp13", "2^13-1", "10^4999"])
+def test_a_spelling_of_another_expression_is_refused(kind, parameter, spelling):
+    with pytest.raises(DomainError) as excinfo:
+        NumberExpression(kind, parameter, spelling)
+    canonical = SPELLINGS[kind] + decimal_text(parameter)
+    assert str(excinfo.value).endswith(f"does not parse back to {canonical}")
+
+
+# Falsy ones too: only the empty string stands for the canonical spelling.
+@pytest.mark.parametrize(
+    "spelling", [13, b"M13", ["M13"], None, 0, b""],
+    ids=["int", "bytes", "list", "None", "zero", "empty-bytes"],
+)
+def test_a_spelling_that_is_not_a_string_is_refused(spelling):
+    with pytest.raises(DomainError, match="must be a string"):
+        NumberExpression(ExpressionKind.MERSENNE_BY_EXPONENT, 13, spelling)
 
 
 @given(st.characters().filter(lambda c: c not in "0123456789M"), st.text(max_size=8))

@@ -119,3 +119,14 @@ def test_code_lines_counts_only_the_lines_that_hold_code(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["3", str(source)]
+
+
+@pytest.mark.parametrize("name", [".", "missing.py"])
+def test_code_lines_reports_a_path_it_cannot_read_in_one_line(tmp_path, name):
+    # A readable file before it prints nothing either: no count is partial.
+    (tmp_path / "sample.py").write_text("x = 1\n")
+    path = tmp_path / name
+    done = subprocess.run([sys.executable, str(CODE_LINES), str(tmp_path / "sample.py"), str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.count("\n") == 1 and str(path) in done.stderr, done.stderr
