@@ -65,8 +65,8 @@ EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141
 
 # Above this exponent a recomputation stops being an interactive wait:
-# D(2**n - 1) takes about 6 s at n = 3M and 21 s at n = 7M on one core of
-# a 2-vCPU x86_64 VM under Python 3.11.
+# D(2**n - 1) took about 10 s at n = 2,976,221 and 41 CPU-s at
+# n = 6,972,607 on one core of a 2-vCPU x86_64 VM under Python 3.11.
 _SLOW_EXPONENT = 4_000_000
 
 

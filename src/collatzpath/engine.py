@@ -45,15 +45,18 @@ so the cost is a few balanced multiplies per level instead of one
 multiply of the whole value per 512 steps.  The table is _steps, the one
 loop of single shortcut steps, run for eight steps on every byte.
 
-When the budget binds, the jump stops where the budget does.  Any prefix
-of a decided jump is exact, since the parities of its first j steps
-depend only on x mod 2**j; the recursion decides its steps in order, so
-it returns the longest prefix whose j + c rule applications fit: a leaf
-takes rounds of lookups that must fit and ends with _steps, the loop the
-table was built by, a first half that stopped short is the whole prefix,
-and a second half is no wider than the steps left to it.  A budget far
-below the value's width is then one jump and a fused step or so, not a
-chain of ever narrower jumps, each a multiply of the whole value.
+The jump knows no budget.  One loop below _walk reads it, _prefix, and
+takes the longest prefix of the k steps whose j + c rule applications
+fit; any prefix is exact, since the parities of the first j steps depend
+only on x mod 2**j.  It jumps in rounds that must fit, each of n steps, n
+the steps left or half the rule applications left, the fewer, rounded
+down to a multiple of 8.  A round reads only the n bits of b it steps
+through and carries T**j(b mod 2**j) to the next.  A move whose k steps
+fit is one round and one jump.  When fewer than 16 rule applications are
+left, _steps, the loop the table was built by, takes the last few.  A
+budget far below the value's width is then one move and a fused step or
+so, not a chain of ever narrower moves, each a multiply of the whole
+value.
 
 Near 1, or at the end of a budget, it takes the fused step: for odd x it
 computes y = 3x+1 and divides out all trailing zero bits of y at once.
@@ -235,87 +238,81 @@ def _climb(x: int, t: int) -> int:
     return 3**t * ((x >> t) + 1) - 1
 
 
-def _leaf(low: int, k: int, track: bool, cap: int) -> tuple[int, int, int, int | float, int]:
-    """Up to k shortcut steps of low < 2**k by table: (c, 3**c, T**j(low mod 2**j), excursion, j).
+def _jump(low: int, k: int, room: float) -> tuple[int, int, int, int | float]:
+    """k shortcut steps of low < 2**k: (c, 3**c, T**k(low), excursion).
 
-    k is a multiple of 8 and c counts the odd steps.  j is k when the k
-    steps take at most cap rule applications, else the longest prefix
-    whose j + c do.  The lookups go in rounds that must fit: a lookup takes
-    at most 16 rule applications, so a round of n steps takes at most 2n.
-    One rule sizes every round, the first included: n is the steps left
-    or half the rule applications left, the fewer, rounded down to a
-    multiple of 8, and the rounds end when n is 0.  A leaf whose k steps
-    fit the cap is one round.  Single steps follow while they fit, by
-    _steps.
-    When track is set, the excursion is the largest c*log2(3) - i over the
-    odd steps i, c counting the odd steps up to and including step i, in
-    _FIX fixed point; it is -inf when untracked or when no step is odd.
-    A -inf from the table or from _steps joins integer sums below 2**110
-    here, so the sum is -inf, never a float overflow.
+    k is a multiple of 8 and c counts the odd steps.  Up to _BLOCK steps
+    are a leaf, one lookup in the eight-step table per eight steps.  Wider
+    jumps decide the first half of the steps recursively, apply them to the
+    rest of low with one multiply, and decide the second half from the low
+    bits of that.  room is how far the peak lies above the bit length the
+    jump starts from; a leaf tracks its excursion only if it could climb
+    that far.  The excursion is the largest c*log2(3) - i over the odd
+    steps i that a leaf tracked, c counting the odd steps up to and
+    including step i, in _FIX fixed point, and -inf when there are none.
+    A -inf plus an offset c*log2(3) - i in fixed point, far below 2**1024,
+    is -inf, never a float overflow.
     """
-    y = low
-    c = j = 0
-    best = -math.inf
-    while n := min(k - j, cap - j - c >> 1) & -8:
-        for i in range(j, j + n, 8):
+    if k <= _BLOCK:
+        track = _CLIMB * k + 3 > room
+        y, c = low, 0
+        best = -math.inf
+        for i in range(0, k, 8):
             r = y & 255
             y = _T8_MUL[r] * (y >> 8) + _T8_TAIL[r]
             if track and (e := c * _LOG2_3_FIX - (i << _FIX) + _T8_EXC[r]) > best:
                 best = e
             c += _T8_ODD[r]
-        j += n
-    if j < k:
-        # Folded in as a lookup is, with the steps counted from j and c.
-        y, c_tail, j_tail, e = _steps(y, k - j, cap - j - c)
-        if track:
-            best = max(best, c * _LOG2_3_FIX - (j << _FIX) + e)
-        c += c_tail
-        j += j_tail
-        # y is T**j(low) = 3**c * (low >> j) + T**j(low mod 2**j).
-        y -= _POW3[c] * (low >> j)
-    return c, _POW3[c], y, best, j
+        return c, _POW3[c], y, best
+    half = k >> 4 << 3
+    c1, p1, y1, e1 = _jump(low & ((1 << half) - 1), half, room)
+    mid = p1 * (low >> half) + y1
+    rest = k - half
+    c2, p2, y2, e2 = _jump(mid & ((1 << rest) - 1), rest, room - (c1 * _LOG2_3 - half))
+    # The second half's excursion counts from where it starts.
+    exc = max(e1, e2 + c1 * _LOG2_3_FIX - (half << _FIX))
+    return c1 + c2, p1 * p2, p2 * (mid >> rest) + y2, exc
 
 
-def _jump(low: int, k: int, room: float, cap: int) -> tuple[int, int, int, int | float, int]:
+def _prefix(low: int, k: int, room: float, cap: int) -> tuple[int, int, int, int | float, int]:
     """Up to k shortcut steps of low < 2**k: (c, 3**c, T**j(low mod 2**j), excursion, j).
 
-    k is a multiple of 8.  j is k, or the longest prefix of the k steps
-    whose j + c rule applications fit cap; a plain jump, with cap >= 2k,
-    takes all k.  Decides the first half of the steps recursively, applies
-    them to the rest of low with one multiply, and decides the second half
-    from the low bits of that.  A first half that stopped short is the
-    whole prefix, and a second half is no wider than the steps its cap
-    affords.  room is how far the peak lies above the bit length the jump
-    starts from; a leaf tracks its excursion only if it could climb that
-    far.  The excursion is the largest over the j steps, as _leaf's is,
-    and -inf when no leaf tracked one.
+    j is k when the k steps take at most cap rule applications, else the
+    longest prefix whose j + c do.  The steps go in rounds that must fit:
+    a step takes at most 2 rule applications, so a round of n steps takes
+    at most 2n.  One rule sizes every round: n is the steps left or half
+    the rule applications left, the fewer, rounded down to a multiple of
+    8.  A move whose k steps fit the cap is one round, one jump.  Each
+    round reads only the n bits of low it steps through, since t is
+    T**j(low mod 2**j).  When fewer than 8 steps or 16 rule applications
+    are left, single steps follow while they fit, by _steps, on the next
+    16 bits of low, tracked as a leaf of 16 steps would be.  room and the
+    excursion are _jump's, over the j steps.
     """
-    if k <= _BLOCK:
-        return _leaf(low, k, _CLIMB * k + 3 > room, cap)
-    half = k >> 4 << 3
-    c1, p1, y1, e1, j1 = _jump(low & ((1 << half) - 1), half, room, cap)
-    if j1 < half:
-        return c1, p1, y1, e1, j1
-    cap -= half + c1
-    rest = k - half
-    high = low >> half
-    if cap < rest:
-        # Each step costs a rule application, so the second half takes at
-        # most cap steps, and only that many bits of high count.
-        rest = cap + 7 & -8
-        high &= (1 << rest) - 1
-    mid = p1 * high + y1
-    c2, p2, y2, e2, j2 = _jump(mid & ((1 << rest) - 1), rest, room - (c1 * _LOG2_3 - half), cap)
-    power = p1 * p2
-    y = p2 * (mid >> j2) + y2
-    if j2 < rest:
-        # mid carried the first half over all of high; the prefix reads
-        # only its low j2 bits.
-        y -= power * (high >> j2)
-    if e2 != -math.inf:
-        # The second half's excursion counts from where it starts.
-        e1 = max(e1, e2 + c1 * _LOG2_3_FIX - (half << _FIX))
-    return c1 + c2, power, y, e1, half + j2
+    c = j = t = 0
+    power = 1
+    best = -math.inf
+    while n := min(k - j, cap - j - c >> 1) & -8:
+        mid = power * (low >> j & (1 << n) - 1) + t
+        c2, p2, y2, e2 = _jump(mid & (1 << n) - 1, n, room - (c * _LOG2_3 - j))
+        if e2 != -math.inf:
+            best = max(best, e2 + c * _LOG2_3_FIX - (j << _FIX))
+        t = p2 * (mid >> n) + y2
+        power *= p2
+        c += c2
+        j += n
+    if j < k:
+        # At most 15 steps are left, so 16 bits of low decide them.
+        high = low >> j & 0xFFFF
+        y, c2, j2, e2 = _steps(power * high + t, k - j, cap - j - c)
+        if _CLIMB * 16 + 3 > room - (c * _LOG2_3 - j):
+            best = max(best, e2 + c * _LOG2_3_FIX - (j << _FIX))
+        power *= _POW3[c2]
+        c += c2
+        j += j2
+        # y carried the steps over all of high; the prefix reads its low j2 bits.
+        t = y - power * (high >> j2)
+    return c, power, t, best, j
 
 
 def _peak_after(peak: int, a: int, k: int, exc: int) -> int | None:
@@ -366,8 +363,8 @@ def _walk(
     while remaining and not (halt and x == 1):
         bits = x.bit_length()
         # A jump of k shortcut steps leaves a = x >> k at least 64 bits
-        # wide; its k + c rule applications fit the budget or it stops
-        # where the budget does.  A run takes at most half the budget.
+        # wide; _prefix stops it where the budget does.  A run takes at
+        # most half the budget.
         k = min(bits - 64 >> 1, remaining) & -8
         w = min(k, remaining >> 1)
         if w >= 8:
@@ -383,7 +380,7 @@ def _walk(
                 even += t
                 remaining -= 2 * t
             else:
-                c, power, y, exc, k = _jump(low, k, peak - bits, remaining)
+                c, power, y, exc, k = _prefix(low, k, peak - bits, remaining)
                 a = x >> k
                 top = peak if exc == -math.inf else _peak_after(peak, a, k, exc)
                 if top is None:

@@ -641,27 +641,71 @@ def assert_longest_prefix_that_fits(got: tuple, low: int, k: int, cap: int, trac
 @settings(max_examples=300)
 @given(st.data())
 def test_a_leaf_takes_the_longest_prefix_that_fits_its_cap(data):
-    # Caps up to 2k + 8 stop a leaf inside a round of lookups and inside
-    # the single steps after the rounds, or not at all.
+    # A move no wider than one leaf: caps up to 2k + 8 stop it inside a
+    # round, inside the single steps after the rounds, or not at all.  Room
+    # 0.0 tracks every excursion and room inf none.
     k = data.draw(st.sampled_from([8, 64, 512]))
     low = data.draw(st.integers(0, 2**k - 1))
     cap = data.draw(st.integers(0, 2 * k + 8))
     track = data.draw(st.booleans())
-    got = engine_module._leaf(low, k, track, cap)
+    got = engine_module._prefix(low, k, 0.0 if track else math.inf, cap)
     assert_longest_prefix_that_fits(got, low, k, cap, track)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_a_jump_carries_its_largest_excursion_across_leaves(data):
-    # Wider than one leaf, so the excursion of a second half is offset by
-    # the first half's and the larger kept.  With room 0.0 every leaf
-    # tracks; caps up to 2k + 8 stop the jump in either half, or not at all.
+    # Wider than one leaf, so the excursion of a second half, and of each
+    # later round, is offset by the steps before it and the larger kept.
+    # With room 0.0 every leaf tracks; caps up to 2k + 8 stop the move in
+    # any round, or not at all.
     k = data.draw(st.sampled_from([BLOCK + 8, 2 * BLOCK, 4 * BLOCK]))
     low = data.draw(st.integers(0, 2**k - 1))
     cap = data.draw(st.one_of(st.just(2 * k), st.integers(0, 2 * k + 8)))
-    got = engine_module._jump(low, k, 0.0, cap)
+    got = engine_module._prefix(low, k, 0.0, cap)
     assert_longest_prefix_that_fits(got, low, k, cap, True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_jump_is_the_shortcut_map_k_times(data):
+    # The jump knows no budget: all k steps, one leaf or recursive halves,
+    # equal to the shortcut map step by step in every field.
+    k = data.draw(st.sampled_from([8, BLOCK, BLOCK + 8, 4 * BLOCK]))
+    low = data.draw(st.integers(0, 2**k - 1))
+    value, odd, best = shortcut_prefixes(low, k)[k]
+    assert engine_module._jump(low, k, 0.0) == (odd, 3**odd, value, fixed_excursion(best))
+
+
+def test_a_move_that_fits_its_budget_is_one_jump(rng):
+    # Every move of a run to 1 whose k steps fit the budget, so whose cap
+    # is at least 2k, takes one top-level jump over its whole window.
+    moves = []
+    depth = 0
+    real_prefix, real_jump = engine_module._prefix, engine_module._jump
+
+    def prefix(low, k, room, cap):
+        moves.append((low, k, cap, []))
+        return real_prefix(low, k, room, cap)
+
+    def jump(low, k, room):
+        nonlocal depth
+        if not depth:
+            moves[-1][3].append((low, k))
+        depth += 1
+        try:
+            return real_jump(low, k, room)
+        finally:
+            depth -= 1
+
+    x = rng.getrandbits(20_000) | 1 << 20_000
+    with mock.patch.object(engine_module, "_prefix", prefix), \
+            mock.patch.object(engine_module, "_jump", jump):
+        got = path_length(x)
+    plain = [(low, k, jumps) for low, k, cap, jumps in moves if cap >= 2 * k]
+    assert len(plain) > 50 and any(k > BLOCK for _, k, _ in plain)
+    assert all(jumps == [(low, k)] for low, k, jumps in plain)
+    assert result_fields(got) == naive_path_length(x)
 
 
 @pytest.mark.parametrize("above", [False, True])
@@ -831,17 +875,18 @@ def near_tie_start(ones: int, top: int, above: bool) -> int:
 
 
 def assert_capped_near_tie_replays(x: int, budget: int) -> None:
-    # The budget binds, so the first jump is as wide as the value and the
+    # The budget binds, so the first move is as wide as the value and the
     # budget allow and is capped at the budget.  Its near tie is replayed
     # as two walks of half its rule applications each, so every later
-    # jump, recursive halves included, is narrower than the first.
-    with spying("_walk") as walk, spying("_jump") as jump:
+    # move, and every jump, rounds and recursive halves included, is
+    # narrower than the first move.
+    with spying("_walk") as walk, spying("_prefix") as prefix, spying("_jump") as jump:
         got = advance(initial_state(x), budget)
-    first, *later = jump.call_args_list
+    first, *later = prefix.call_args_list
     width = min(x.bit_length() - 64 >> 1, budget) & -8
     assert first.args[1] == width and first.args[3] == budget < 2 * width
     assert walk.call_count >= 3
-    assert all(call.args[1] < width for call in later)
+    assert all(call.args[1] < width for call in later + jump.call_args_list)
     assert state_fields(got) == naive_partial(x, budget)
 
 
@@ -883,84 +928,30 @@ def test_a_near_tie_below_the_peak_keeps_the_peak(offset):
 
 
 def test_a_budget_over_a_wide_value_is_one_capped_jump(rng):
-    # A budget far below the value's width is one jump that stops where the
-    # budget does, not a chain of halving jumps: at most two rule
+    # A budget far below the value's width is one move that stops where the
+    # budget does, not a chain of halving moves: at most two rule
     # applications are left over for fused steps.
     budget = 2000
-    top_level = []
-    depth = 0
-    real_jump = engine_module._jump
+    moves = []
+    real_prefix = engine_module._prefix
 
-    def jump(low, k, room, cap):
-        nonlocal depth
-        depth += 1
-        try:
-            result = real_jump(low, k, room, cap)
-        finally:
-            depth -= 1
-        if not depth:
-            c, _, _, _, j = result
-            top_level.append((k, cap, j + c))
+    def prefix(low, k, room, cap):
+        result = real_prefix(low, k, room, cap)
+        c, _, _, _, j = result
+        moves.append((k, cap, j + c))
         return result
 
     for bits in (40_000, 41_000, 80_000):
         x = rng.getrandbits(bits) | 1 << bits
         assert x & (1 << budget // 2) - 1 != (1 << budget // 2) - 1
-        top_level.clear()
-        with mock.patch.object(engine_module, "_jump", jump), spying("_climb") as climb:
+        moves.clear()
+        with mock.patch.object(engine_module, "_prefix", prefix), spying("_climb") as climb:
             got = advance(initial_state(x), budget)
         assert not climb.called
-        [(width, cap, taken)] = top_level
+        [(width, cap, taken)] = moves
         assert (width, cap) == (budget, budget)
         assert budget - 2 <= taken <= budget
         assert state_fields(got) == naive_partial(x, budget)
-
-
-def test_a_second_half_that_stops_short_ends_its_jump(rng):
-    # A start whose capped jump leaves its second half, wider than BLOCK,
-    # a cap just short of that width, with low bits of all ones for the
-    # second half's own first half: that one stops short, so the second
-    # half returns its prefix without deciding the rest.
-    def shortcut(b: int, steps: int) -> tuple[int, int]:
-        c = 0
-        for _ in range(steps):
-            if b & 1:
-                b, c = (3 * b + 1) >> 1, c + 1
-            else:
-                b >>= 1
-        return c, b
-
-    bits = 40_000
-    pool = rng.getrandbits(bits)
-    for budget in range(4 * BLOCK + 256, 6 * BLOCK):
-        half = (budget & -8) >> 4 << 3
-        b = pool & (1 << half) - 1
-        c1, y1 = shortcut(b, half)
-        cap = budget - half - c1
-        rest = cap + 7 & -8
-        if rest > BLOCK and rest % 16 == 0 and cap % 8:
-            break
-    else:
-        raise AssertionError("no budget in the range leaves such a cap")
-    # The second half's first rest / 2 steps are all odd: 3**c1 * high + y1
-    # has its low rest / 2 bits all ones.
-    ones = rest >> 1
-    high = (-1 - y1) * pow(3**c1, -1, 1 << ones) % (1 << ones)
-    x = ((pool >> half + ones | 1 << bits) << ones | high) << half | b
-
-    short = []
-    real_jump = engine_module._jump
-
-    def jump(low, k, room, cap):
-        result = real_jump(low, k, room, cap)
-        if k > BLOCK and result[4] < k >> 4 << 3:
-            short.append(k)
-        return result
-
-    with mock.patch.object(engine_module, "_jump", jump):
-        got = advance(initial_state(x), budget)
-    assert short == [rest]
-    assert state_fields(got) == naive_partial(x, budget)
 
 
 @pytest.mark.parametrize("ones", [BLOCK - 8, 4 * BLOCK])

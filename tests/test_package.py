@@ -121,12 +121,24 @@ def test_code_lines_counts_only_the_lines_that_hold_code(tmp_path):
     assert done.stdout.split() == ["3", str(source)]
 
 
-@pytest.mark.parametrize("name", [".", "missing.py"])
+# Readable files that are not Python: prose, a NUL byte, a UTF-16 byte order mark.
+NOT_PYTHON = {
+    "README.md": b"# collatzpath\n\nThe 3x+1 path length of 2^n - 1.\n",
+    "nul.py": b"x = 1\x00\n",
+    "utf16.py": b"\xff\xfex = 1\n",
+}
+
+
+@pytest.mark.parametrize("name", [".", "missing.py", *NOT_PYTHON])
 def test_code_lines_reports_a_path_it_cannot_read_in_one_line(tmp_path, name):
     # A readable file before it prints nothing either: no count is partial.
     (tmp_path / "sample.py").write_text("x = 1\n")
     path = tmp_path / name
+    if name in NOT_PYTHON:
+        path.write_bytes(NOT_PYTHON[name])
     done = subprocess.run([sys.executable, str(CODE_LINES), str(tmp_path / "sample.py"), str(path)],
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.count("\n") == 1 and str(path) in done.stderr, done.stderr
+    verb = "parse" if name in NOT_PYTHON else "read"
+    assert done.stderr.startswith(f"code_lines: cannot {verb} "), done.stderr

@@ -6,7 +6,8 @@ A code line holds at least one token that is not a comment, a newline or
 indentation.  Module, class and function docstrings are left out, so a
 line counts only for the code on it.  Prints one line per file, its count
 then its path, and with several files a last line with their total.
-A path it cannot read is one line on stderr and exit status 2.
+A path it cannot read, or cannot parse as Python, is one line on stderr
+and exit status 2, with no count printed.
 """
 
 from __future__ import annotations
@@ -59,11 +60,18 @@ def main(paths: list[str]) -> int:
     if not paths:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    try:
-        counts = [(code_lines(path), path) for path in paths]
-    except OSError as exc:
-        print(f"code_lines: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 2
+    counts = []
+    for path in paths:
+        try:
+            counts.append((code_lines(path), path))
+        except OSError as exc:
+            print(f"code_lines: cannot read {path}: {exc.strerror}", file=sys.stderr)
+            return 2
+        except (SyntaxError, ValueError) as exc:
+            # Older Pythons refuse a NUL byte with ValueError, newer ones with SyntaxError.
+            reason = exc.msg if isinstance(exc, SyntaxError) else str(exc)
+            print(f"code_lines: cannot parse {path}: {reason}", file=sys.stderr)
+            return 2
     for count, path in counts:
         print(f"{count:6d}  {path}")
     if len(counts) > 1:

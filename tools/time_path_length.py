@@ -8,9 +8,12 @@ interpreter pinned to one CPU and times one path_length(2**n - 1) call
 with perf_counter; with --budget B it times advance to halt in B-step
 budgets instead, the loop of a checkpointed pathlen without its writes.
 With several checkouts the order rotates from one repeat to the next, so
-that a slow stretch on a shared host falls on each of them alike.  Prints
-one JSON object: the machine record, the command, and for every rank and
-checkout the PathResult fields, every time in seconds and their median.
+that a slow stretch on a shared host falls on each of them alike.  Each
+SRC argument is its own row, so one checkout named twice is an A/A
+control: the spread two copies of the same code show beside an A/B
+verdict.  Prints one JSON object: the machine record, the command, and
+for every rank and SRC argument the PathResult fields, every time in
+seconds and their median.
 """
 
 from __future__ import annotations
@@ -79,12 +82,13 @@ def main(argv: list[str]) -> int:
     cpu = max(os.sched_getaffinity(0))
     rows = []
     for rank in ranks:
-        runs = {src: [] for src in srcs}
+        # One list per SRC argument, so a tree named twice is two rows.
+        runs = [[] for _ in srcs]
         for repeat in range(args.repeats):
             shift = repeat % len(srcs)
-            for src in srcs[shift:] + srcs[:shift]:
-                runs[src].append(time_once(src, rank, args.budget, cpu))
-        for src, timed in runs.items():
+            for i in [*range(shift, len(srcs)), *range(shift)]:
+                runs[i].append(time_once(srcs[i], rank, args.budget, cpu))
+        for src, timed in zip(srcs, runs):
             fields = {key: timed[0][key] for key in timed[0] if key != "seconds"}
             if any({key: t[key] for key in fields} != fields for t in timed):
                 raise SystemExit(f"rank {rank}: {src} gave different results across repeats")
